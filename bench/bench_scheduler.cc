@@ -16,6 +16,8 @@
 //   3. the real 2-hop label build on a generated social graph
 //      (power-law follower distribution), reported for trajectory
 //      tracking (no assert: build times on small graphs are noisy).
+//      The build's landmark loop is serial, so the two schedulers
+//      differ only on its per-node label sort pass.
 //
 // Writes two sidecars:
 //   bench_scheduler.metrics.json — full registry export (as every bench)

@@ -44,6 +44,14 @@
 # the same binary also runs under TSan in stage three with a reduced
 # case count. Override the ASan case count with MEL_DIFF_CASES (default
 # 400 here; 200 in plain ctest) or skip the stage with MEL_SKIP_DIFF=1.
+#
+# A fifth stage, `e2e`, runs the follow_churn serving workload for 3 s
+# with tracing (python3 e2ebench/run.py, Release build under
+# .bench_build/): it fails unless the result object reports
+# "correct": true and the counts line shows at least one label-index
+# rebuild, so every verify replays an erase rebuild on the serving
+# barrier under the end-to-end correctness gate. Skip it with
+# MEL_SKIP_E2E=1.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -150,4 +158,20 @@ if [ "${MEL_SKIP_DIFF:-0}" != "1" ]; then
   (cd build-asan/tests && ./mmap_test)
   (cd build-asan/tests && MEL_DIFF_CASES="${MEL_DIFF_CASES:-400}" \
     ./differential_test)
+fi
+
+if [ "${MEL_SKIP_E2E:-0}" != "1" ]; then
+  echo "=== E2E stage: follow_churn erase barrier under the correctness gate ==="
+  python3 e2ebench/run.py --workload follow_churn --seconds 3 --trace 1 |
+    python3 -c '
+import json, sys
+lines = sys.stdin.read().splitlines()
+counts = next((json.loads(l[len("counts: "):]) for l in lines
+               if l.startswith("counts: ")), None)
+assert counts is not None, "no counts line in the e2e output"
+result = json.loads(lines[-1])
+print("follow_churn: correct", result["correct"], "rebuilds", counts["rebuilds"])
+assert result["correct"] is True, "e2e correctness gate failed"
+assert counts["rebuilds"] >= 1, "no erase rebuild ran on the barrier"
+'
 fi

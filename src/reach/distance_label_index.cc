@@ -25,7 +25,7 @@ DistanceLabelIndex DistanceLabelIndex::Build(const graph::DirectedGraph* g,
   index.build_in_labels_.resize(g->num_nodes());
   index.build_out_labels_.resize(g->num_nodes());
   index.hub_dist_.assign(g->num_nodes(), kInf);
-  index.in_queue_.assign(g->num_nodes(), 0);
+  index.visited_.assign(g->num_nodes(), 0);
   const auto degrees = graph::TotalDegrees(*g);
   for (NodeId landmark : graph::NodesByDegreeDescending(*g, degrees)) {
     index.ProcessLandmark(landmark, /*forward=*/false);
@@ -66,7 +66,7 @@ void DistanceLabelIndex::FinalizeArenas() {
   build_in_labels_ = {};
   build_out_labels_ = {};
   hub_dist_ = {};
-  in_queue_ = {};
+  visited_ = {};
 }
 
 void DistanceLabelIndex::ProcessLandmark(NodeId landmark, bool forward) {
@@ -85,38 +85,41 @@ void DistanceLabelIndex::ProcessLandmark(NodeId landmark, bool forward) {
   hub_dist_[landmark] = 0;
   touched_hubs.push_back(landmark);
 
+  // 64-bit sums make a kInf hub distance an ordinary large term, so the
+  // scan needs no branch per entry.
   auto query = [&](NodeId x) -> uint32_t {
-    uint32_t dmin = kInf;
+    uint64_t dmin = kInf;
     for (const Label& label : grow[x]) {
-      uint32_t hd = hub_dist_[label.node];
-      if (hd != kInf) dmin = std::min(dmin, hd + label.dist);
+      dmin = std::min(dmin, uint64_t{label.dist} + hub_dist_[label.node]);
     }
-    return dmin;
+    return static_cast<uint32_t>(dmin);
   };
 
+  // x's labels change during this BFS only when x itself gains its
+  // landmark entry, and BFS lengths never decrease: the first time x is
+  // examined decides whether it gains one, so later edges into x are
+  // skipped without a query.
+  std::vector<NodeId> visited_nodes;
   std::vector<std::pair<NodeId, uint32_t>> queue;
   queue.emplace_back(landmark, 0);
-  in_queue_[landmark] = 1;
-  size_t head = 0;
-  while (head < queue.size()) {
-    auto [u, len_u] = queue[head++];
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const auto [u, len_u] = queue[head];
     if (len_u >= max_hops_) continue;
     const uint32_t len = len_u + 1;
     auto nbrs = forward ? g_->OutNeighbors(u) : g_->InNeighbors(u);
     for (NodeId x : nbrs) {
-      if (x == landmark || in_queue_[x]) continue;
+      if (x == landmark || visited_[x]) continue;
+      visited_[x] = 1;
+      visited_nodes.push_back(x);
       if (len < query(x)) {
         grow[x].push_back(Label{landmark, len});
-        if (len < max_hops_) {
-          in_queue_[x] = 1;
-          queue.emplace_back(x, len);
-        }
+        if (len < max_hops_) queue.emplace_back(x, len);
       }
     }
   }
 
   for (NodeId w : touched_hubs) hub_dist_[w] = kInf;
-  for (const auto& [node, len] : queue) in_queue_[node] = 0;
+  for (NodeId x : visited_nodes) visited_[x] = 0;
 }
 
 uint32_t DistanceLabelIndex::Distance(NodeId u, NodeId v) const {

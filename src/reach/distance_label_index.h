@@ -136,7 +136,7 @@ class DistanceLabelIndex : public WeightedReachability {
   std::vector<std::vector<Label>> build_in_labels_;
   std::vector<std::vector<Label>> build_out_labels_;
   std::vector<uint32_t> hub_dist_;
-  std::vector<uint8_t> in_queue_;
+  std::vector<uint8_t> visited_;  // node examined by the current BFS
 };
 
 }  // namespace mel::reach

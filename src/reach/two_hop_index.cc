@@ -28,6 +28,7 @@ struct TwoHopMetrics {
   metrics::Counter* unreachable;
   metrics::Histogram* labels_scanned;
   metrics::Histogram* build_ns;
+  metrics::Counter* build_label_scans;
 };
 
 const TwoHopMetrics& GetTwoHopMetrics() {
@@ -38,6 +39,8 @@ const TwoHopMetrics& GetTwoHopMetrics() {
     hm.unreachable = reg.GetCounter("reach.twohop.unreachable_total");
     hm.labels_scanned = reg.GetHistogram("reach.twohop.labels_scanned");
     hm.build_ns = reg.GetHistogram("reach.twohop.build_ns");
+    hm.build_label_scans =
+        reg.GetCounter("reach.twohop.build_label_scans_total");
     return hm;
   }();
   return m;
@@ -69,6 +72,78 @@ QueryScratch& TlsQueryScratch() {
 
 }  // namespace
 
+/// Each pass starts with SetHubs and ends with Reset, which restores
+/// hub_dist to kInf and visited to 0 by walking only what the pass touched.
+struct TwoHopIndex::LandmarkScratch {
+  std::vector<uint32_t> hub_dist;  // d(hub, landmark) or d(landmark, hub)
+  std::vector<uint32_t> pre_dist;  // backward: d over pre-landmark labels
+  std::vector<uint8_t> visited;    // node already examined by this pass
+  std::vector<NodeId> hubs;
+  std::vector<NodeId> visited_nodes;
+  std::vector<std::pair<NodeId, uint32_t>> queue;  // (node, BFS length)
+  uint64_t label_scans = 0;  // reach.twohop.build_label_scans_total
+
+  explicit LandmarkScratch(uint32_t num_nodes)
+      : hub_dist(num_nodes, kInf), pre_dist(num_nodes, kInf),
+        visited(num_nodes, 0) {}
+
+  /// Loads the landmark's own labels as meeting hubs and seeds the queue
+  /// with the landmark.
+  template <typename Label>
+  void SetHubs(NodeId landmark, const std::vector<Label>& meet_labels) {
+    for (const Label& label : meet_labels) {
+      hub_dist[label.node] = label.dist;
+      hubs.push_back(label.node);
+    }
+    hub_dist[landmark] = 0;
+    hubs.push_back(landmark);
+    queue.clear();
+    queue.emplace_back(landmark, 0);
+  }
+
+  /// Marks x visited; false when it already was.
+  bool Visit(NodeId x) {
+    if (visited[x]) return false;
+    visited[x] = 1;
+    visited_nodes.push_back(x);
+    return true;
+  }
+
+  void Reset() {
+    for (NodeId w : hubs) hub_dist[w] = kInf;
+    for (NodeId x : visited_nodes) visited[x] = 0;
+    hubs.clear();
+    visited_nodes.clear();
+  }
+
+  /// min over labels of dist + hub_dist[hub]; kInf when no label meets a
+  /// hub. 64-bit sums make a kInf hub distance an ordinary large term:
+  /// no branch per entry, and the minimum never drops below kInf via it.
+  template <typename Label>
+  uint32_t MinDistance(const std::vector<Label>& labels) {
+    uint64_t dmin = kInf;
+    for (const Label& label : labels) {
+      dmin = std::min(dmin, uint64_t{label.dist} + hub_dist[label.node]);
+    }
+    label_scans += labels.size();
+    return static_cast<uint32_t>(dmin);
+  }
+
+  /// Whether u is already in the union of the followee sets of every
+  /// label achieving distance d (the unioned F of Theorem 2).
+  bool OnMinPath(const std::vector<BuildOutLabel>& labels, uint32_t d,
+                 NodeId u) {
+    label_scans += labels.size();
+    for (const BuildOutLabel& label : labels) {
+      if (uint64_t{label.dist} + hub_dist[label.node] == d &&
+          Contains(label.followees, u)) {
+        return true;
+      }
+    }
+    return false;
+  }
+};
+
 TwoHopIndex::TwoHopIndex(const graph::DirectedGraph* g, uint32_t max_hops)
     : g_(g), max_hops_(max_hops) {}
 
@@ -83,22 +158,17 @@ TwoHopIndex TwoHopIndex::Build(const graph::DirectedGraph* g,
   // out-labels of other nodes; the forward pass reads
   // build_out_labels_[landmark] and appends to in-labels of other nodes
   // (each skips the landmark itself). Their footprints are disjoint, so
-  // the two BFS of one landmark run concurrently — each with its own
-  // scratch — while the landmark order itself stays sequential.
-  LandmarkScratch backward_scratch(g->num_nodes());
-  LandmarkScratch forward_scratch(g->num_nodes());
+  // the pass order within a landmark does not matter; the landmark order
+  // does (each BFS prunes against all earlier landmarks' labels).
+  LandmarkScratch scratch(g->num_nodes());
   // Algorithm 2 line 1: landmarks in descending degree order, so that hub
   // nodes prune the most subsequent label entries.
   const auto degrees = graph::TotalDegrees(*g);
   for (NodeId landmark : graph::NodesByDegreeDescending(*g, degrees)) {
-    pool->ParallelFor(0, 2, 1, [&](size_t pass) {
-      if (pass == 0) {
-        index.ProcessLandmarkBackward(landmark, backward_scratch);
-      } else {
-        index.ProcessLandmarkForward(landmark, forward_scratch);
-      }
-    });
+    index.ProcessLandmarkBackward(landmark, scratch);
+    index.ProcessLandmarkForward(landmark, scratch);
   }
+  g_twohop_metrics.build_label_scans->Increment(scratch.label_scans);
   // Canonical ordering enables two-pointer intersection at query time.
   // Nodes are independent here, so the sort/dedup pass fans out.
   const uint32_t n = g->num_nodes();
@@ -183,124 +253,70 @@ void TwoHopIndex::PublishArenaMetrics() const {
   am.bytes->Set(static_cast<int64_t>(IndexSizeBytes()));
 }
 
+// During landmark L's BFS a node's labels change only when that node
+// itself gains (or extends) its L entry, and BFS lengths never decrease.
+// So each node needs one label query per landmark: the first time it is
+// examined its pre-landmark distance is final, and every later edge is
+// decided by combining that distance with its own L entry.
 void TwoHopIndex::ProcessLandmarkBackward(NodeId landmark,
                                           LandmarkScratch& scratch) {
-  auto& hub_dist = scratch.hub_dist;
-  auto& in_queue = scratch.in_queue;
   // hub_dist[w] = d(w, landmark) for every hub w that queries may meet at.
-  std::vector<NodeId> touched_hubs;
-  for (const InLabel& il : build_in_labels_[landmark]) {
-    hub_dist[il.node] = il.dist;
-    touched_hubs.push_back(il.node);
-  }
-  hub_dist[landmark] = 0;
-  touched_hubs.push_back(landmark);
-
-  // Distance + membership query against current labels:
-  // min over hubs w in L_out(s) of d_sw + d(w, landmark); has_u reports
-  // whether u already belongs to the unioned followee set at that minimum.
-  auto query = [&](NodeId s, NodeId u) -> std::pair<uint32_t, bool> {
-    uint32_t dmin = kInf;
-    bool has_u = false;
-    for (const BuildOutLabel& ol : build_out_labels_[s]) {
-      uint32_t hd = hub_dist[ol.node];
-      if (hd == kInf) continue;
-      uint32_t total = ol.dist + hd;
-      if (total < dmin) {
-        dmin = total;
-        has_u = Contains(ol.followees, u);
-      } else if (total == dmin && !has_u) {
-        has_u = Contains(ol.followees, u);
-      }
-    }
-    return {dmin, has_u};
-  };
-
-  std::vector<std::pair<NodeId, uint32_t>> queue;
-  queue.emplace_back(landmark, 0);
-  in_queue[landmark] = 1;
-  size_t head = 0;
-  while (head < queue.size()) {
-    auto [u, len_u] = queue[head++];
+  scratch.SetHubs(landmark, build_in_labels_[landmark]);
+  auto& queue = scratch.queue;
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const auto [u, len_u] = queue[head];
     if (len_u >= max_hops_) continue;
     const uint32_t len = len_u + 1;
     for (NodeId s : g_->InNeighbors(u)) {
       if (s == landmark) continue;
-      auto [d, has_u] = query(s, u);
+      auto& labels = build_out_labels_[s];
+      if (scratch.Visit(s)) scratch.pre_dist[s] = scratch.MinDistance(labels);
+      // Entries for this landmark are only appended during this BFS, so
+      // if one exists it is the most recent.
+      const bool has_entry = !labels.empty() && labels.back().node == landmark;
+      const uint32_t d = has_entry
+                             ? std::min(scratch.pre_dist[s], labels.back().dist)
+                             : scratch.pre_dist[s];
       if (len < d) {
         // A strictly shorter path s -> u ~> landmark: record the landmark
         // as a hub of s, remembering followee u (Algorithm 2 lines 11-19).
-        build_out_labels_[s].push_back(BuildOutLabel{landmark, len, {u}});
-        if (len < max_hops_ && !in_queue[s]) {
-          in_queue[s] = 1;
-          queue.emplace_back(s, len);
-        }
-      } else if (len == d && !has_u) {
+        labels.push_back(BuildOutLabel{landmark, len, {u}});
+        if (len < max_hops_) queue.emplace_back(s, len);
+      } else if (len == d && !scratch.OnMinPath(labels, d, u)) {
         // A new shortest path through followee u (lines 20-27). Distances
         // of s's ancestors are unchanged, so s is not re-enqueued.
-        // Entries for this landmark are only appended during this BFS, so
-        // if one exists it is the most recent.
-        if (!build_out_labels_[s].empty() &&
-            build_out_labels_[s].back().node == landmark) {
-          MEL_CHECK(build_out_labels_[s].back().dist == len);
-          build_out_labels_[s].back().followees.push_back(u);
+        if (has_entry) {
+          MEL_CHECK(labels.back().dist == len);
+          labels.back().followees.push_back(u);
         } else {
-          build_out_labels_[s].push_back(BuildOutLabel{landmark, len, {u}});
+          labels.push_back(BuildOutLabel{landmark, len, {u}});
         }
       }
     }
   }
-
-  for (NodeId w : touched_hubs) hub_dist[w] = kInf;
-  for (const auto& [node, len] : queue) in_queue[node] = 0;
+  scratch.Reset();
 }
 
 void TwoHopIndex::ProcessLandmarkForward(NodeId landmark,
                                          LandmarkScratch& scratch) {
-  auto& hub_dist = scratch.hub_dist;
-  auto& in_queue = scratch.in_queue;
-  std::vector<NodeId> touched_hubs;
-  for (const BuildOutLabel& ol : build_out_labels_[landmark]) {
-    hub_dist[ol.node] = ol.dist;
-    touched_hubs.push_back(ol.node);
-  }
-  hub_dist[landmark] = 0;
-  touched_hubs.push_back(landmark);
-
-  auto query = [&](NodeId t) -> uint32_t {
-    uint32_t dmin = kInf;
-    for (const InLabel& il : build_in_labels_[t]) {
-      uint32_t hd = hub_dist[il.node];
-      if (hd == kInf) continue;
-      dmin = std::min(dmin, hd + il.dist);
-    }
-    return dmin;
-  };
-
-  std::vector<std::pair<NodeId, uint32_t>> queue;
-  queue.emplace_back(landmark, 0);
-  in_queue[landmark] = 1;
-  size_t head = 0;
-  while (head < queue.size()) {
-    auto [u, len_u] = queue[head++];
+  scratch.SetHubs(landmark, build_out_labels_[landmark]);
+  auto& queue = scratch.queue;
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const auto [u, len_u] = queue[head];
     if (len_u >= max_hops_) continue;
     const uint32_t len = len_u + 1;
     for (NodeId t : g_->OutNeighbors(u)) {
-      if (t == landmark) continue;
-      // L_in carries distances only; update when strictly shortened
-      // (Algorithm 2 line 30).
-      if (len < query(t)) {
+      // L_in carries distances only, and t's first examination has the
+      // shortest len it will see: that one query decides whether t gains
+      // an entry (Algorithm 2 line 30), so later edges into t are skipped.
+      if (t == landmark || !scratch.Visit(t)) continue;
+      if (len < scratch.MinDistance(build_in_labels_[t])) {
         build_in_labels_[t].push_back(InLabel{landmark, len});
-        if (len < max_hops_ && !in_queue[t]) {
-          in_queue[t] = 1;
-          queue.emplace_back(t, len);
-        }
+        if (len < max_hops_) queue.emplace_back(t, len);
       }
     }
   }
-
-  for (NodeId w : touched_hubs) hub_dist[w] = kInf;
-  for (const auto& [node, len] : queue) in_queue[node] = 0;
+  scratch.Reset();
 }
 
 uint32_t TwoHopIndex::CollectMinDistanceSpans(

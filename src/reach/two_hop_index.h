@@ -56,14 +56,13 @@ class TwoHopIndex : public WeightedReachability {
   /// Builds the index; landmarks are processed in descending total-degree
   /// order (Algorithm 2 line 1). The graph must outlive the index.
   ///
-  /// The landmark order is inherently sequential (each landmark's BFS
-  /// prunes against the labels of all earlier ones), but within one
-  /// landmark the backward pass (which grows out-labels) and the forward
-  /// pass (which grows in-labels) touch disjoint state and run
-  /// concurrently on `pool` (nullptr = the shared pool), as does the
-  /// final per-node label sort/dedup pass. Construction uses per-node
-  /// scratch vectors, then flattens them onto the arenas in node order —
-  /// output is bit-identical to a 1-thread build.
+  /// The landmark loop is sequential (each landmark's BFS prunes against
+  /// the labels of all earlier ones) and queries each node's labels once
+  /// per landmark and pass, not once per BFS edge. The final per-node
+  /// label sort pass fans out on `pool` (nullptr = the shared pool).
+  /// Construction uses per-node scratch vectors, then flattens them onto
+  /// the arenas in node order — output is bit-identical to a 1-thread
+  /// build.
   static TwoHopIndex Build(const graph::DirectedGraph* g, uint32_t max_hops,
                            util::ThreadPool* pool = nullptr);
 
@@ -86,7 +85,8 @@ class TwoHopIndex : public WeightedReachability {
   /// labels than a fresh build — equality with a rebuild holds on query
   /// results, not on label structure. Erasure rebuilds: a decremental
   /// cover update is unsound because the pair's new shortest path was
-  /// non-shortest before and is in no label. A mapped index becomes
+  /// non-shortest before and is in no label; the rebuilt index is byte
+  /// for byte a fresh Build of the mutated graph. A mapped index becomes
   /// heap-owned when patched.
   MutationResult OnGraphMutation(const MutationContext& ctx) override;
 
@@ -168,17 +168,9 @@ class TwoHopIndex : public WeightedReachability {
     std::vector<NodeId> followees;  // sorted after Build's sort pass
   };
 
-  /// Construction-time per-pass scratch, keyed by node id. The backward
-  /// and forward passes of one landmark run concurrently, so each gets
-  /// its own instance.
-  struct LandmarkScratch {
-    std::vector<uint32_t> hub_dist;  // distance to/from current landmark
-    std::vector<uint8_t> in_queue;
-
-    explicit LandmarkScratch(uint32_t num_nodes)
-        : hub_dist(num_nodes, kUnreachableDistance),
-          in_queue(num_nodes, 0) {}
-  };
+  /// Construction-time BFS scratch keyed by node id, shared by the
+  /// backward and forward pass of every landmark (defined in the .cc).
+  struct LandmarkScratch;
 
   explicit TwoHopIndex(const graph::DirectedGraph* g, uint32_t max_hops);
 

@@ -2,7 +2,8 @@
 // DirectedGraph edge-splice API driven through reach::ReachMaintainer,
 // hand-computed Algorithm-1 (Eq. 4) values after single insertions and
 // deletions on the 6-node diamond fixture, rejected-delta edge cases,
-// the lazy stamped-ring retirement of the BurstTracker, a pinned
+// byte identity of erase rebuilds with fresh label-index builds, the
+// lazy stamped-ring retirement of the BurstTracker, a pinned
 // mutation-event stream (seed regression), and a TSan stress test racing
 // edge mutations against pooled ScoreOnly readers under a shared lock
 // (scripts/verify.sh runs it under TSan).
@@ -13,7 +14,11 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <shared_mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -225,6 +230,58 @@ TEST(IncrementalEdgeCases, VersionCountsAppliedDeltasOnly) {
   EXPECT_EQ(rig.g.version(), 1u);
   ASSERT_TRUE(rig.Apply(graph::EdgeDelta::Op::kErase, 1, 3).applied);
   EXPECT_EQ(rig.g.version(), 2u);
+}
+
+// ------------------------------------------------ erase rebuild identity
+
+template <typename Index>
+std::string SaveBytes(const Index& index, const char* name) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / name).string();
+  EXPECT_TRUE(index.Save(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>{});
+  std::remove(path.c_str());
+  return bytes;
+}
+
+// An erase rebuilds the label indexes on the serving barrier; the rebuild
+// must be exactly a fresh Build of the mutated graph, byte for byte —
+// even after insert patches left the old labels non-canonical.
+TEST(IncrementalEraseRebuild, LabelBytesMatchFreshBuild) {
+  Rng rng(0xE5A5E);
+  graph::GraphBuilder b(70);
+  for (int i = 0; i < 220; ++i) {
+    b.AddEdge(static_cast<graph::NodeId>(rng.Uniform(70)),
+              static_cast<graph::NodeId>(rng.Uniform(70)));
+  }
+  for (uint32_t max_hops : {1u, 3u, 5u}) {
+    Rig rig(std::move(graph::GraphBuilder(b)).Build(), max_hops);
+    int inserted = 0;
+    while (inserted < 4) {
+      inserted += rig.Apply(graph::EdgeDelta::Op::kInsert,
+                            static_cast<graph::NodeId>(rng.Uniform(70)),
+                            static_cast<graph::NodeId>(rng.Uniform(70)))
+                      .applied;
+    }
+    graph::NodeId u = 0;
+    while (rig.g.OutNeighbors(u).empty()) ++u;
+    const auto applied =
+        rig.Apply(graph::EdgeDelta::Op::kErase, u, rig.g.OutNeighbors(u)[0]);
+    ASSERT_TRUE(applied.applied);
+    ASSERT_EQ(applied.results[kTwoHopIdx], reach::MutationResult::kRebuilt);
+    ASSERT_EQ(applied.results[kDliIdx], reach::MutationResult::kRebuilt);
+
+    const auto fresh_hop = reach::TwoHopIndex::Build(&rig.g, max_hops);
+    EXPECT_EQ(SaveBytes(rig.two_hop, "erase_hop.idx"),
+              SaveBytes(fresh_hop, "fresh_hop.idx"))
+        << "H " << max_hops;
+    const auto fresh_dli = reach::DistanceLabelIndex::Build(&rig.g, max_hops);
+    EXPECT_EQ(SaveBytes(rig.dli, "erase_dli.idx"),
+              SaveBytes(fresh_dli, "fresh_dli.idx"))
+        << "H " << max_hops;
+  }
 }
 
 // ------------------------------------------- burst-ring lazy retirement

@@ -193,12 +193,24 @@ TEST(TwoHopIndexTest, LabelEntriesAndSizeNonZero) {
 
 // -------------------------------------- cross-backend property checking
 
+// gtest names each case after the parameter's raw bytes (there is no
+// PrintTo), so the padding is spelled out and zeroed. Left implicit, it
+// held stack garbage that moved with the build path and code layout,
+// and the case names moved with it.
 struct BackendConsistencyParam {
+  BackendConsistencyParam(uint32_t n, double degree, uint32_t hops,
+                          uint64_t s)
+      : nodes(n), avg_degree(degree), max_hops(hops), seed(s) {}
+
   uint32_t nodes;
+  uint32_t pad0 = 0;
   double avg_degree;
   uint32_t max_hops;
+  uint32_t pad1 = 0;
   uint64_t seed;
 };
+static_assert(sizeof(BackendConsistencyParam) == 32,
+              "no implicit padding left");
 
 class BackendConsistencyTest
     : public ::testing::TestWithParam<BackendConsistencyParam> {};
@@ -793,6 +805,85 @@ TEST(ParallelBuildTest, TwoHopMatchesSerialOnRandomGraphs) {
     });
     EXPECT_FALSE(save_a.empty());
     EXPECT_EQ(save_a, save_b);
+  }
+}
+
+// ------------------------------------------------------ golden label bytes
+
+// 64-bit FNV-1a over the Save bytes: independent of the container's own
+// block checksum, so a change to either shows up here.
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+struct GoldenCase {
+  uint32_t nodes;
+  double avg_degree;
+  uint64_t seed;
+  uint32_t max_hops;
+  uint64_t two_hop_digest;
+  uint64_t dli_digest;
+};
+
+// Digests of the labels the per-edge construction (one label query per
+// BFS edge) wrote. The per-node construction must reproduce every byte:
+// it skips queries whose answer is already decided, it never changes
+// one. The dense shape exercises the equal-distance followee-append
+// branch; H = 1 pins the no-enqueue edge case.
+constexpr GoldenCase kGoldenCases[] = {
+    {80, 2.5, 501, 1, 0x94c34bca40b1b7b6ull, 0x482fa8e2117ffcbull},
+    {80, 2.5, 501, 3, 0x2de47d90595a6434ull, 0x6df6340191d40d55ull},
+    {80, 2.5, 501, 5, 0xbdd51f97f4029841ull, 0x8e6abb8d5b3dec09ull},
+    {50, 6.0, 502, 1, 0x5627b98a735d1402ull, 0x6ae0446805905d7eull},
+    {50, 6.0, 502, 3, 0xbf0c972fba305386ull, 0x59d17181f6c57fb2ull},
+    {50, 6.0, 502, 5, 0x7f15d16821d4f450ull, 0x81f221f8cca98f6bull},
+    {120, 3.5, 503, 1, 0xc3b7206facb6369cull, 0x76178cd5e0b8f1deull},
+    {120, 3.5, 503, 3, 0x2262c830daa7c0ddull, 0x6617917e77414095ull},
+    {120, 3.5, 503, 5, 0x4b8a18b8825ace4dull, 0x68b3107cb9745850ull},
+};
+
+TEST(GoldenLabelBytesTest, TwoHopBuildMatchesPinnedDigests) {
+  for (const GoldenCase& c : kGoldenCases) {
+    DirectedGraph g = RandomGraph(c.nodes, c.avg_degree, c.seed);
+    auto index = TwoHopIndex::Build(&g, c.max_hops);
+    auto bytes = SaveToTempBytes("hop_golden.idx", [&](const auto& p) {
+      return index.Save(p);
+    });
+    EXPECT_EQ(Fnv1a64(bytes), c.two_hop_digest)
+        << "seed " << c.seed << " H " << c.max_hops << std::hex
+        << " digest 0x" << Fnv1a64(bytes);
+  }
+}
+
+// Construction work is deterministic, so it is pinned exactly: the label
+// entries read by the build's distance and followee-membership queries.
+// The per-edge construction (one full label query per BFS edge) read
+// 166248 entries on this graph; any change to how often labels are
+// queried moves the figure.
+TEST(GoldenLabelBytesTest, TwoHopBuildLabelScansArePinned) {
+  DirectedGraph g = RandomGraph(120, 3.5, 503);
+  metrics::Counter* scans =
+      metrics::Registry().GetCounter("reach.twohop.build_label_scans_total");
+  const uint64_t before = scans->Value();
+  TwoHopIndex::Build(&g, 5);
+  EXPECT_EQ(scans->Value() - before, 156544u);
+}
+
+TEST(GoldenLabelBytesTest, DistanceLabelBuildMatchesPinnedDigests) {
+  for (const GoldenCase& c : kGoldenCases) {
+    DirectedGraph g = RandomGraph(c.nodes, c.avg_degree, c.seed);
+    auto index = DistanceLabelIndex::Build(&g, c.max_hops);
+    auto bytes = SaveToTempBytes("dli_golden.idx", [&](const auto& p) {
+      return index.Save(p);
+    });
+    EXPECT_EQ(Fnv1a64(bytes), c.dli_digest)
+        << "seed " << c.seed << " H " << c.max_hops << std::hex
+        << " digest 0x" << Fnv1a64(bytes);
   }
 }
 
