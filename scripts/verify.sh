@@ -4,20 +4,18 @@
 #
 # A second stage runs a Release-mode bench smoke: the hot-path A/B bench,
 # the reachability arena/count-only A/B, the serving micro-batch A/B
-# (which also asserts batched == sequential bit-identity), the scheduler
-# A/B (chunk-pull vs work-stealing; speedup floors assert only in full
-# mode on >= 4 hardware threads), the MEL3 startup A/B (mmap vs
-# deserializing load; the >= 10x floor asserts only in full mode), the
-# incremental-maintenance A/B (patch vs per-delta index rebuilds; the
-# >= 5x insert floor asserts only in full mode), the SIMD kernel A/B
-# (scalar vs dispatched kernel tables; the >= 1.5x merge-intersection
-# floor asserts only in full mode on AVX2 hosts), and a
-# short bench_micro filter, then checks that all metrics sidecars are
-# valid JSON and that the BENCH_serving.json / BENCH_scheduler.json /
-# BENCH_hotpath.json / BENCH_reach.json / BENCH_startup.json /
-# BENCH_incremental.json / BENCH_kernels.json
-# trajectories carry their required keys (docs/PERFORMANCE.md). Skip it
-# (e.g. on very slow machines) with MEL_SKIP_BENCH=1.
+# (which also asserts batched == sequential bit-identity), the MEL3
+# startup A/B (mmap vs deserializing load; the >= 10x floor asserts only
+# in full mode), the incremental-maintenance A/B (patch vs per-delta
+# index rebuilds; the >= 5x insert floor asserts only in full mode), the
+# SIMD kernel A/B (scalar vs dispatched kernel tables; the >= 1.5x
+# merge-intersection floor asserts only in full mode on AVX2 hosts), and
+# a short bench_micro filter, then checks that all metrics sidecars are
+# valid JSON and that the BENCH_serving.json / BENCH_hotpath.json /
+# BENCH_reach.json / BENCH_startup.json / BENCH_incremental.json /
+# BENCH_kernels.json trajectories carry their required keys
+# (docs/PERFORMANCE.md). Skip it (e.g. on very slow machines) with
+# MEL_SKIP_BENCH=1.
 #
 # A forced-scalar stage reruns the suites that sit on the SIMD kernel
 # layer (util, simd, graph, text, kb, reach, differential) with
@@ -28,15 +26,14 @@
 #
 # A third stage rebuilds the threaded code under ThreadSanitizer and
 # runs the suites that exercise the thread pool (including the
-# work-stealing deque protocol and the many-submitters steal stress
-# test), the parallel index and network constructions, the
-# recency-cache fill, the reach-score cache, the batch linker, the
-# serving loop (producers + feedback racing the dispatcher,
-# epoch-schedule replay, drain-on-shutdown), the metrics-export
-# concurrency test, the concurrent mapped-index query test, and the
-# differential concurrency tests (ConfirmLink
-# epoch bumps racing the recency cache). Skip it (e.g. on machines
-# without TSan runtime support) with MEL_SKIP_TSAN=1.
+# many-submitters stress test), the parallel index and network
+# constructions, the recency-cache fill, the reach-score cache, the
+# batch linker, the serving loop (producers + feedback racing the
+# dispatcher, epoch-schedule replay, drain-on-shutdown), the
+# metrics-export concurrency test, the concurrent mapped-index query
+# test, and the differential concurrency tests (ConfirmLink epoch bumps
+# racing the recency cache). Skip it (e.g. on machines without TSan
+# runtime support) with MEL_SKIP_TSAN=1.
 #
 # A fourth stage, `differential`, rebuilds under AddressSanitizer and
 # replays a scaled-up randomized differential sweep (see docs/TESTING.md)
@@ -59,15 +56,14 @@ cd "$(dirname "$0")/.."
 cmake -B build -S . && cmake --build build -j && (cd build && ctest --output-on-failure -j)
 
 if [ "${MEL_SKIP_BENCH:-0}" != "1" ]; then
-  echo "=== Bench smoke: query hot path A/B + reach arena A/B + serving + scheduler + micro (Release) ==="
+  echo "=== Bench smoke: query hot path A/B + reach arena A/B + serving + micro (Release) ==="
   cmake --build build -j --target bench_query_hotpath bench_micro \
-    bench_reachability_index bench_serving bench_scheduler \
+    bench_reachability_index bench_serving \
     bench_index_startup bench_incremental bench_kernels
   (cd build/bench && ./bench_query_hotpath --smoke)
   (cd build/bench && ./bench_kernels --smoke)
   (cd build/bench && ./bench_reachability_index --smoke)
   (cd build/bench && ./bench_serving --smoke)
-  (cd build/bench && ./bench_scheduler --smoke)
   (cd build/bench && ./bench_index_startup --smoke)
   (cd build/bench && ./bench_incremental --smoke)
   (cd build/bench && ./bench_micro \
@@ -78,7 +74,6 @@ import json, sys
 for path in ("build/bench/bench_query_hotpath.metrics.json",
              "build/bench/bench_reachability_index.metrics.json",
              "build/bench/bench_serving.metrics.json",
-             "build/bench/bench_scheduler.metrics.json",
              "build/bench/bench_index_startup.metrics.json",
              "build/bench/bench_incremental.metrics.json",
              "build/bench/bench_kernels.metrics.json",
@@ -92,9 +87,6 @@ for path in ("build/bench/bench_query_hotpath.metrics.json",
 required = {
     "BENCH_serving.json": ("bench", "schema_version", "qps_batched",
                            "speedup", "identity_ok", "link_latency_ns"),
-    "BENCH_scheduler.json": ("bench", "schema_version", "mode", "threads",
-                             "skew_speedup", "uniform_ratio",
-                             "twohop_speedup", "skew_steals", "asserted"),
     "BENCH_hotpath.json": ("bench", "schema_version", "mode",
                            "baseline_mentions_per_sec",
                            "optimized_mentions_per_sec", "speedup",
@@ -145,7 +137,7 @@ if [ "${MEL_SKIP_TSAN:-0}" != "1" ]; then
     extensions_test recency_test text_test differential_test \
     metrics_test serve_test mmap_test incremental_test
   (cd build-tsan && ctest --output-on-failure \
-    -R 'ThreadPool|StealDeque|Parallel|CachedReachability|DifferentialConcurrency|ServeFixture|ConcurrencyTest|MmapConcurrency|Incremental' -j)
+    -R 'ThreadPool|Parallel|CachedReachability|DifferentialConcurrency|ServeFixture|ConcurrencyTest|MmapConcurrency|Incremental' -j)
   echo "=== TSan stage: reduced differential sweep (mutation shards included) ==="
   (cd build-tsan/tests && MEL_DIFF_CASES="${MEL_DIFF_CASES_TSAN:-40}" \
     ./differential_test --gtest_filter='DifferentialShards.Shard*:MutationSweep.Shard*')

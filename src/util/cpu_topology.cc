@@ -111,20 +111,6 @@ const CpuTopology& HostTopology() {
   return topo;
 }
 
-uint32_t CurrentCpuSocket(const CpuTopology& topo) {
-#if defined(__linux__)
-  const int cpu = sched_getcpu();
-  if (cpu >= 0) {
-    for (const auto& c : topo.cpus) {
-      if (c.cpu_id == static_cast<uint32_t>(cpu)) return c.socket;
-    }
-  }
-#else
-  (void)topo;
-#endif
-  return 0;
-}
-
 bool PinCurrentThreadToCpu(uint32_t cpu_id) {
 #if defined(__linux__)
   cpu_set_t set;

@@ -10,8 +10,7 @@ namespace mel::util {
 /// \brief Core/socket layout of the host, read from
 /// /sys/devices/system/cpu (Linux). When sysfs is unavailable or
 /// unparsable the topology degrades to a flat single-socket view with
-/// `detected == false`, which callers treat as "pinning and socket
-/// preferences are no-ops".
+/// `detected == false`, which the thread pool treats as "do not pin".
 struct CpuTopology {
   struct Cpu {
     uint32_t cpu_id = 0;   // kernel cpu number (valid for affinity masks)
@@ -21,8 +20,7 @@ struct CpuTopology {
 
   /// Online cpus sorted by (socket, core_id, cpu_id), so that assigning
   /// consecutive workers to consecutive entries fills one socket's cores
-  /// before spilling to the next — contiguous ParallelFor slices land on
-  /// neighbouring cores.
+  /// before spilling to the next.
   std::vector<Cpu> cpus;
   uint32_t num_sockets = 1;
   bool detected = false;
@@ -30,10 +28,6 @@ struct CpuTopology {
 
 /// Topology of this host, detected once and cached for the process.
 const CpuTopology& HostTopology();
-
-/// Dense socket index of the cpu the calling thread is currently on
-/// (via sched_getcpu); 0 when undetectable.
-uint32_t CurrentCpuSocket(const CpuTopology& topo);
 
 /// Pins the calling thread to one cpu. Returns false (and changes
 /// nothing) when unsupported on this platform or rejected by the kernel.

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -15,7 +14,6 @@
 #include "util/metrics.h"
 #include "util/random.h"
 #include "util/status.h"
-#include "util/steal_deque.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -355,30 +353,19 @@ TEST(ThreadPoolTest, BackToBackRegions) {
   }
 }
 
-// ------------------------------------------------- work-stealing path
-
-util::ThreadPool::Options StealOptions(uint32_t threads) {
-  util::ThreadPool::Options o;
-  o.num_threads = threads;
-  o.scheduler = util::SchedulerKind::kWorkStealing;
-  return o;
-}
+// ----------------------------------------- ThreadPool region contract
 
 uint64_t CounterValue(const char* name) {
   return metrics::Registry().GetCounter(name)->Value();
 }
 
-// Forced skew: the first index of the caller's slice blocks long enough
-// that the workers drain their own slices and must steal the caller's
-// remaining range to finish. Every index still runs exactly once, and at
-// least one steal is observed.
-TEST(ThreadPoolStealTest, SkewedWorkloadCoversEveryIndexExactlyOnce) {
-  util::ThreadPool pool(StealOptions(4));
-  ASSERT_EQ(pool.scheduler(), util::SchedulerKind::kWorkStealing);
+// Forced skew: index 0 blocks its participant long enough that the
+// others must pull every remaining chunk from the shared cursor. Every
+// index still runs exactly once.
+TEST(ThreadPoolTest, SkewedWorkloadCoversEveryIndexExactlyOnce) {
+  util::ThreadPool pool(4);
   constexpr size_t kCount = 512;
   std::vector<std::atomic<uint32_t>> visits(kCount);
-  const uint64_t steals_before = CounterValue("util.pool.steals_total");
-  const uint64_t pops_before = CounterValue("util.pool.local_pops_total");
   pool.ParallelFor(0, kCount, 1, [&](size_t i) {
     if (i == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -388,20 +375,13 @@ TEST(ThreadPoolStealTest, SkewedWorkloadCoversEveryIndexExactlyOnce) {
   for (size_t i = 0; i < kCount; ++i) {
     ASSERT_EQ(visits[i].load(), 1u) << "index " << i;
   }
-  EXPECT_GT(CounterValue("util.pool.local_pops_total"), pops_before);
-  EXPECT_GT(CounterValue("util.pool.steals_total"), steals_before);
-  // The blocked caller makes the region maximally imbalanced; the gauge
-  // reports max/mean busy-time x100, so it must exceed the balanced 100.
-  EXPECT_GT(
-      metrics::Registry().GetGauge("util.pool.region_imbalance_x100")->Value(),
-      100);
 }
 
-// An exception thrown from a stolen range (while the submitting caller is
-// still busy elsewhere) cancels the region, rethrows on the caller, and
-// never runs an index twice. The pool stays usable afterwards.
-TEST(ThreadPoolStealTest, ExceptionMidStealCancelsAndRethrows) {
-  util::ThreadPool pool(StealOptions(4));
+// An exception thrown late in the range (while the participant holding
+// index 0 is still blocked) cancels the region, rethrows on the caller,
+// and never runs an index twice. The pool stays usable afterwards.
+TEST(ThreadPoolTest, ExceptionMidRegionCancelsAndRethrows) {
+  util::ThreadPool pool(4);
   constexpr size_t kCount = 512;
   std::vector<std::atomic<uint32_t>> visits(kCount);
   EXPECT_THROW(
@@ -412,25 +392,23 @@ TEST(ThreadPoolStealTest, ExceptionMidStealCancelsAndRethrows) {
                            std::this_thread::sleep_for(
                                std::chrono::milliseconds(20));
                          }
-                         // Deep inside the tail half, so it is typically
-                         // reached via a stolen range.
                          if (i == kCount - 5) {
-                           throw std::runtime_error("boom in stolen range");
+                           throw std::runtime_error("boom late in range");
                          }
                        }),
       std::runtime_error);
   for (size_t i = 0; i < kCount; ++i) {
     ASSERT_LE(visits[i].load(), 1u) << "index " << i;
   }
-  // Cancelled regions must leave no residue in the deques: the next
-  // region covers its range exactly.
+  // A cancelled region leaves no residue: the next region covers its
+  // range exactly.
   std::atomic<int> total{0};
   pool.ParallelFor(0, 100, 1, [&](size_t) { total.fetch_add(1); });
   EXPECT_EQ(total.load(), 100);
 }
 
-TEST(ThreadPoolStealTest, NestedParallelForRunsInline) {
-  util::ThreadPool pool(StealOptions(4));
+TEST(ThreadPoolTest, NestedParallelForRunsInline) {
+  util::ThreadPool pool(4);
   std::atomic<int> total{0};
   pool.ParallelFor(0, 8, 1, [&](size_t) {
     std::thread::id outer = std::this_thread::get_id();
@@ -445,7 +423,7 @@ TEST(ThreadPoolStealTest, NestedParallelForRunsInline) {
 // Degenerate regions (count <= grain, or capped to one participant) run
 // inline on the calling thread: no job is opened, no worker woken.
 TEST(ThreadPoolTest, DegenerateRegionRunsInlineOnCaller) {
-  util::ThreadPool pool(StealOptions(4));
+  util::ThreadPool pool(4);
   const std::thread::id caller = std::this_thread::get_id();
   const uint64_t regions_before =
       CounterValue("util.pool.parallel_for_total");
@@ -467,46 +445,12 @@ TEST(ThreadPoolTest, DegenerateRegionRunsInlineOnCaller) {
   EXPECT_EQ(CounterValue("util.pool.inline_for_total"), inline_before + 3);
 }
 
-TEST(ThreadPoolTest, ChunkPullSchedulerStillSelectable) {
-  util::ThreadPool::Options o;
-  o.num_threads = 4;
-  o.scheduler = util::SchedulerKind::kChunkPull;
-  util::ThreadPool pool(o);
-  EXPECT_EQ(pool.scheduler(), util::SchedulerKind::kChunkPull);
-  constexpr size_t kCount = 300;
-  std::vector<std::atomic<uint32_t>> visits(kCount);
-  pool.ParallelFor(0, kCount, 3, [&](size_t i) {
-    visits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (size_t i = 0; i < kCount; ++i) {
-    ASSERT_EQ(visits[i].load(), 1u) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolTest, EnvVarSelectsScheduler) {
-  ASSERT_EQ(setenv("MEL_SCHEDULER", "chunk", 1), 0);
-  {
-    util::ThreadPool pool(2);
-    EXPECT_EQ(pool.scheduler(), util::SchedulerKind::kChunkPull);
-  }
-  ASSERT_EQ(setenv("MEL_SCHEDULER", "steal", 1), 0);
-  {
-    util::ThreadPool pool(2);
-    EXPECT_EQ(pool.scheduler(), util::SchedulerKind::kWorkStealing);
-  }
-  ASSERT_EQ(unsetenv("MEL_SCHEDULER"), 0);
-  {
-    util::ThreadPool pool(2);
-    EXPECT_EQ(pool.scheduler(), util::SchedulerKind::kWorkStealing);
-  }
-}
-
 // Many tiny regions submitted from racing threads: concurrent callers
 // serialize on the pool, every region covers its range exactly once.
-// Exercises region open/close, deque seeding, and the exit barrier under
-// TSan from multiple submitter threads.
-TEST(ThreadPoolStealStressTest, ManySmallRegionsFromManySubmitters) {
-  util::ThreadPool pool(StealOptions(4));
+// Exercises region open/close and worker hand-off under TSan from
+// multiple submitter threads.
+TEST(ThreadPoolStressTest, ManySmallRegionsFromManySubmitters) {
+  util::ThreadPool pool(4);
   constexpr int kSubmitters = 4;
   constexpr int kRegionsEach = 60;
   constexpr size_t kItems = 64;
@@ -529,72 +473,6 @@ TEST(ThreadPoolStealStressTest, ManySmallRegionsFromManySubmitters) {
   for (auto& t : submitters) t.join();
   EXPECT_EQ(grand_total.load(),
             uint64_t{kSubmitters} * kRegionsEach * kItems * (kItems + 1) / 2);
-}
-
-// ------------------------------------------------------- StealDeque
-
-TEST(StealDequeTest, OwnerLifoThiefFifo) {
-  util::StealDeque dq;
-  EXPECT_TRUE(dq.MaybeEmpty());
-  ASSERT_TRUE(dq.Push(1));
-  ASSERT_TRUE(dq.Push(2));
-  ASSERT_TRUE(dq.Push(3));
-  EXPECT_FALSE(dq.MaybeEmpty());
-  uint64_t v = 0;
-  ASSERT_TRUE(dq.Pop(&v));  // owner pops the newest
-  EXPECT_EQ(v, 3u);
-  ASSERT_TRUE(dq.Steal(&v));  // thief takes the oldest
-  EXPECT_EQ(v, 1u);
-  ASSERT_TRUE(dq.Pop(&v));
-  EXPECT_EQ(v, 2u);
-  EXPECT_FALSE(dq.Pop(&v));
-  EXPECT_FALSE(dq.Steal(&v));
-  EXPECT_TRUE(dq.MaybeEmpty());
-}
-
-TEST(StealDequeTest, PushFailsWhenFull) {
-  util::StealDeque dq;
-  for (uint32_t i = 0; i < util::StealDeque::kCapacity; ++i) {
-    ASSERT_TRUE(dq.Push(i));
-  }
-  EXPECT_FALSE(dq.Push(999));
-  uint64_t v = 0;
-  ASSERT_TRUE(dq.Steal(&v));
-  EXPECT_EQ(v, 0u);  // a steal frees the oldest slot
-  EXPECT_TRUE(dq.Push(999));
-}
-
-TEST(StealDequeTest, ConcurrentOwnerAndThievesLoseNothing) {
-  util::StealDeque dq;
-  constexpr uint64_t kValues = 20000;
-  std::atomic<uint64_t> taken_sum{0};
-  std::atomic<bool> done{false};
-  std::vector<std::thread> thieves;
-  for (int t = 0; t < 3; ++t) {
-    thieves.emplace_back([&] {
-      uint64_t v;
-      while (!done.load(std::memory_order_acquire)) {
-        if (dq.Steal(&v)) taken_sum.fetch_add(v);
-      }
-      while (dq.Steal(&v)) taken_sum.fetch_add(v);
-    });
-  }
-  uint64_t owner_sum = 0;
-  for (uint64_t i = 1; i <= kValues; ++i) {
-    while (!dq.Push(i)) {  // full: drain a few ourselves
-      uint64_t v;
-      if (dq.Pop(&v)) owner_sum += v;
-    }
-    if ((i & 7) == 0) {
-      uint64_t v;
-      if (dq.Pop(&v)) owner_sum += v;
-    }
-  }
-  uint64_t v;
-  while (dq.Pop(&v)) owner_sum += v;
-  done.store(true, std::memory_order_release);
-  for (auto& t : thieves) t.join();
-  EXPECT_EQ(owner_sum + taken_sum.load(), kValues * (kValues + 1) / 2);
 }
 
 // ----------------------------------------------------- CpuTopology
@@ -620,7 +498,6 @@ TEST(CpuTopologyTest, HostTopologyIsSane) {
   for (size_t i = 1; i < topo.cpus.size(); ++i) {
     EXPECT_LE(topo.cpus[i - 1].socket, topo.cpus[i].socket);
   }
-  EXPECT_LT(util::CurrentCpuSocket(topo), topo.num_sockets);
 }
 
 }  // namespace
