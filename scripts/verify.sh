@@ -42,13 +42,15 @@
 # case count. Override the ASan case count with MEL_DIFF_CASES (default
 # 400 here; 200 in plain ctest) or skip the stage with MEL_SKIP_DIFF=1.
 #
-# A fifth stage, `e2e`, runs the follow_churn serving workload for 3 s
-# with tracing (python3 e2ebench/run.py, Release build under
-# .bench_build/): it fails unless the result object reports
-# "correct": true and the counts line shows at least one label-index
-# rebuild, so every verify replays an erase rebuild on the serving
-# barrier under the end-to-end correctness gate. Skip it with
-# MEL_SKIP_E2E=1.
+# A fifth stage, `e2e`, runs two serving workloads for 3 s each with
+# tracing (python3 e2ebench/run.py, Release build under .bench_build/).
+# follow_churn fails unless the result object reports "correct": true and
+# the counts line shows at least one label-index rebuild, so every verify
+# replays an erase rebuild on the serving barrier under the end-to-end
+# correctness gate. stream_feedback fails unless it reports
+# "correct": true and at least one acknowledged write, so every verify
+# runs the ConfirmLink + WarmUp barrier (the incremental influential-user
+# refill) under the same gate. Skip it with MEL_SKIP_E2E=1.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -153,7 +155,7 @@ if [ "${MEL_SKIP_DIFF:-0}" != "1" ]; then
 fi
 
 if [ "${MEL_SKIP_E2E:-0}" != "1" ]; then
-  echo "=== E2E stage: follow_churn erase barrier under the correctness gate ==="
+  echo "=== E2E stage: erase and feedback barriers under the correctness gate ==="
   python3 e2ebench/run.py --workload follow_churn --seconds 3 --trace 1 |
     python3 -c '
 import json, sys
@@ -165,5 +167,14 @@ result = json.loads(lines[-1])
 print("follow_churn: correct", result["correct"], "rebuilds", counts["rebuilds"])
 assert result["correct"] is True, "e2e correctness gate failed"
 assert counts["rebuilds"] >= 1, "no erase rebuild ran on the barrier"
+'
+  python3 e2ebench/run.py --workload stream_feedback --seconds 3 --trace 1 |
+    python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read().splitlines()[-1])
+acks = result["metrics"]["write_ack_samples"]["value"]
+print("stream_feedback: correct", result["correct"], "write acks", acks)
+assert result["correct"] is True, "e2e correctness gate failed"
+assert acks >= 1, "no feedback write was acknowledged on the barrier"
 '
 fi

@@ -197,9 +197,10 @@ TweetLinkResult EntityLinker::LinkTweet(const kb::Tweet& tweet) const {
 void EntityLinker::ConfirmLink(kb::EntityId entity, const kb::Tweet& tweet) {
   ckb_->AddLink(entity,
                 kb::Posting{tweet.id, tweet.user, tweet.time});
-  // The entity's community changed; cached influential users are stale
-  // (Sec. 3.2.2: "update existing knowledge such as user influences").
-  influential_index_.Invalidate(entity);
+  // The entity's community changed; cached influential users it affects
+  // are stale (Sec. 3.2.2: "update existing knowledge such as user
+  // influences").
+  influential_index_.OnLinkAdded(entity, tweet.user);
 }
 
 void EntityLinker::WarmUp() {

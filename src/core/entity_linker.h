@@ -46,9 +46,9 @@ struct LinkerOptions {
 
   /// Serve influential users from the offline InfluentialUserIndex
   /// (Sec. 3.2.1 knowledge acquisition) instead of ranking communities
-  /// per query. Entries are invalidated by ConfirmLink. Mentions reaching
-  /// the fuzzy candidate path (no single surface id) always fall back to
-  /// the online computation.
+  /// per query. ConfirmLink marks the entries it changes stale. Mentions
+  /// reaching the fuzzy candidate path (no single surface id) always fall
+  /// back to the online computation.
   bool use_influential_index = true;
 
   /// Recency reinforcement between related entities (Fig. 4(d) ablation).

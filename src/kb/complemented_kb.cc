@@ -74,10 +74,16 @@ uint32_t ComplementedKnowledgebase::RecentTweetCount(EntityId e,
 
 uint32_t ComplementedKnowledgebase::UserTweetCount(EntityId e,
                                                    UserId u) const {
+  const uint32_t i = CommunityIndex(e, u);
+  return i == kNotInCommunity ? 0 : per_entity_[e].community[i].second;
+}
+
+uint32_t ComplementedKnowledgebase::CommunityIndex(EntityId e,
+                                                   UserId u) const {
   MEL_CHECK(e < per_entity_.size());
   const EntityPostings& ep = per_entity_[e];
   auto it = ep.user_index.find(u);
-  return it == ep.user_index.end() ? 0 : ep.community[it->second].second;
+  return it == ep.user_index.end() ? kNotInCommunity : it->second;
 }
 
 std::span<const std::pair<UserId, uint32_t>>

@@ -42,8 +42,15 @@ class ComplementedKnowledgebase {
   uint32_t UserTweetCount(EntityId e, UserId u) const;
 
   /// The community U_e: distinct users tweeting about e, each with their
-  /// tweet count |D_e^u|. Order is unspecified.
+  /// tweet count |D_e^u|, in order of each user's first link to e. The
+  /// order is append-only: AddLink adds a new user at the tail and never
+  /// moves an existing one, so positions are stable across links.
   std::span<const std::pair<UserId, uint32_t>> Community(EntityId e) const;
+
+  /// Position of u in Community(e), or kNotInCommunity when u has no
+  /// tweet linked to e.
+  static constexpr uint32_t kNotInCommunity = UINT32_MAX;
+  uint32_t CommunityIndex(EntityId e, UserId u) const;
 
   /// Full posting list of e, sorted by time ascending.
   std::span<const Posting> Postings(EntityId e) const;

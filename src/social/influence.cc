@@ -62,16 +62,26 @@ double InfluenceEstimator::Influence(
 std::vector<InfluentialUser> InfluenceEstimator::TopInfluential(
     kb::EntityId entity, std::span<const kb::EntityId> candidates,
     uint32_t top_k) const {
-  std::vector<InfluentialUser> scored;
   auto community = ckb_->Community(entity);
+  std::vector<double> disc;
+  disc.reserve(community.size());
+  for (const auto& member : community) {
+    disc.push_back(Discriminativeness(member.first, candidates));
+  }
+  return RankInfluential(community, ckb_->LinkedTweetCount(entity), disc,
+                         top_k);
+}
+
+std::vector<InfluentialUser> RankInfluential(
+    std::span<const std::pair<kb::UserId, uint32_t>> community,
+    uint32_t linked_tweets, std::span<const double> disc, uint32_t top_k) {
+  MEL_CHECK(disc.size() == community.size());
+  std::vector<InfluentialUser> scored;
   scored.reserve(community.size());
-  const double inv_total =
-      community.empty() ? 0
-                        : 1.0 / ckb_->LinkedTweetCount(entity);
-  for (const auto& [user, count] : community) {
-    double influence =
-        count * inv_total * Discriminativeness(user, candidates);
-    scored.push_back(InfluentialUser{user, influence});
+  const double inv_total = community.empty() ? 0 : 1.0 / linked_tweets;
+  for (size_t j = 0; j < community.size(); ++j) {
+    double influence = community[j].second * inv_total * disc[j];
+    scored.push_back(InfluentialUser{community[j].first, influence});
   }
   auto by_influence = [](const InfluentialUser& a, const InfluentialUser& b) {
     if (a.influence != b.influence) return a.influence > b.influence;

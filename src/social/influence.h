@@ -52,15 +52,26 @@ class InfluenceEstimator {
       kb::EntityId entity, std::span<const kb::EntityId> candidates,
       uint32_t top_k) const;
 
-  InfluenceMethod method() const { return method_; }
-
- private:
+  /// The candidate-set factor of Eq. 6 (idf) or Eq. 7 (inverse entropy)
+  /// for user u. It reads only u's tweet counts over `candidates`.
   double Discriminativeness(kb::UserId u,
                             std::span<const kb::EntityId> candidates) const;
 
+  InfluenceMethod method() const { return method_; }
+
+ private:
   const kb::ComplementedKnowledgebase* ckb_;
   InfluenceMethod method_;
 };
+
+/// The ranking body of TopInfluential, given each community member's
+/// discriminativeness: `disc[j]` belongs to `community[j]` and
+/// `linked_tweets` is |D_e|. InfluentialUserIndex calls it with
+/// discriminativeness cached across feedback, so both paths produce the
+/// same bits.
+std::vector<InfluentialUser> RankInfluential(
+    std::span<const std::pair<kb::UserId, uint32_t>> community,
+    uint32_t linked_tweets, std::span<const double> disc, uint32_t top_k);
 
 }  // namespace mel::social
 

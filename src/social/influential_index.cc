@@ -11,6 +11,7 @@ struct IndexMetrics {
   metrics::Counter* hits;
   metrics::Counter* misses;
   metrics::Counter* invalidations;
+  metrics::Counter* disc_evals;
 };
 
 const IndexMetrics& GetIndexMetrics() {
@@ -21,10 +22,16 @@ const IndexMetrics& GetIndexMetrics() {
     im.misses = reg.GetCounter("social.influential_index.misses_total");
     im.invalidations =
         reg.GetCounter("social.influential_index.invalidations_total");
+    im.disc_evals =
+        reg.GetCounter("social.influential_index.disc_evals_total");
     return im;
   }();
   return m;
 }
+
+// Discriminativeness is never negative (Eq. 6 idf >= 0, Eq. 7 inverse
+// entropy > 0), so a negative entry marks one OnLinkAdded reset.
+constexpr double kUnsetDisc = -1;
 
 }  // namespace
 
@@ -48,17 +55,34 @@ void InfluentialUserIndex::FillSurface(uint32_t surface_id) {
   std::vector<kb::EntityId> entities;
   entities.reserve(candidates.size());
   for (const kb::Candidate& c : candidates) entities.push_back(c.entity);
-  entry.per_candidate.assign(candidates.size(), {});
+  if (entry.lists.empty()) entry.lists.resize(candidates.size());
+  uint64_t evals = 0;
   for (size_t i = 0; i < candidates.size(); ++i) {
-    entry.per_candidate[i] =
-        estimator_.TopInfluential(entities[i], entities, top_k_);
+    CandidateList& list = entry.lists[i];
+    if (!list.stale) continue;
+    auto community = ckb_->Community(entities[i]);
+    // Members appended since the last fill start unset.
+    list.disc.resize(community.size(), kUnsetDisc);
+    for (size_t j = 0; j < community.size(); ++j) {
+      if (list.disc[j] != kUnsetDisc) continue;
+      list.disc[j] = estimator_.Discriminativeness(community[j].first,
+                                                   entities);
+      ++evals;
+    }
+    list.top = RankInfluential(community,
+                               ckb_->LinkedTweetCount(entities[i]),
+                               list.disc, top_k_);
+    // The ranking leaves room for the whole community; keep only top_k.
+    list.top.shrink_to_fit();
+    list.stale = false;
   }
-  entry.valid = true;
+  entry.stale = false;
+  GetIndexMetrics().disc_evals->Increment(evals);
 }
 
 void InfluentialUserIndex::PrecomputeAll() {
   for (uint32_t sid = 0; sid < cache_.size(); ++sid) {
-    if (!cache_[sid].valid) FillSurface(sid);
+    if (cache_[sid].stale) FillSurface(sid);
   }
 }
 
@@ -66,7 +90,7 @@ const std::vector<InfluentialUser>& InfluentialUserIndex::Get(
     uint32_t surface_id, kb::EntityId entity) {
   MEL_CHECK(surface_id < cache_.size());
   const IndexMetrics& im = GetIndexMetrics();
-  if (!cache_[surface_id].valid) {
+  if (cache_[surface_id].stale) {
     im.misses->Increment();
     FillSurface(surface_id);
   } else {
@@ -75,7 +99,7 @@ const std::vector<InfluentialUser>& InfluentialUserIndex::Get(
   auto candidates = ckb_->base().CandidatesBySurfaceId(surface_id);
   for (size_t i = 0; i < candidates.size(); ++i) {
     if (candidates[i].entity == entity) {
-      return cache_[surface_id].per_candidate[i];
+      return cache_[surface_id].lists[i].top;
     }
   }
   MEL_CHECK_MSG(false, "entity is not a candidate of the surface");
@@ -83,20 +107,37 @@ const std::vector<InfluentialUser>& InfluentialUserIndex::Get(
   return kEmpty;
 }
 
-void InfluentialUserIndex::Invalidate(kb::EntityId entity) {
+void InfluentialUserIndex::OnLinkAdded(kb::EntityId entity,
+                                       kb::UserId user) {
   auto it = entity_surfaces_.find(entity);
   if (it == entity_surfaces_.end()) return;
-  GetIndexMetrics().invalidations->Increment();
+  uint64_t marked = 0;
   for (uint32_t sid : it->second) {
-    cache_[sid].valid = false;
-    cache_[sid].per_candidate.clear();
+    SurfaceCache& entry = cache_[sid];
+    if (entry.lists.empty()) continue;  // never filled: nothing cached
+    auto candidates = ckb_->base().CandidatesBySurfaceId(sid);
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      CandidateList& list = entry.lists[i];
+      // The user's tweet distribution over this surface changed, and so
+      // did the user's discriminativeness here; entity's total changed,
+      // which rescales its whole list. No other input of any list moved.
+      const uint32_t slot = ckb_->CommunityIndex(candidates[i].entity, user);
+      const bool reset = slot < list.disc.size();
+      if (reset) list.disc[slot] = kUnsetDisc;
+      if ((reset || candidates[i].entity == entity) && !list.stale) {
+        list.stale = true;
+        entry.stale = true;
+        ++marked;
+      }
+    }
   }
+  GetIndexMetrics().invalidations->Increment(marked);
 }
 
 size_t InfluentialUserIndex::CachedEntries() const {
   size_t count = 0;
   for (const auto& entry : cache_) {
-    if (entry.valid) count += entry.per_candidate.size();
+    for (const CandidateList& list : entry.lists) count += !list.stale;
   }
   return count;
 }

@@ -21,9 +21,21 @@ namespace mel::social {
 /// entropy terms range over the co-candidates), so entries are keyed by
 /// surface id, not by entity alone.
 ///
-/// The index can be refreshed after online feedback: Invalidate(entity)
-/// drops every cached entry involving the entity, and the next lookup
-/// recomputes it from the complemented knowledgebase.
+/// Each (surface, candidate) list also keeps the discriminativeness of
+/// every community member, aligned with ckb->Community(candidate). That
+/// order is append-only, so the cache survives feedback: a refill
+/// evaluates discriminativeness only for members appended since the last
+/// fill and for entries reset by OnLinkAdded, and otherwise pays one
+/// multiply per member. Ranking goes through RankInfluential, the body
+/// of InfluenceEstimator::TopInfluential, so every list is bitwise equal
+/// to a fresh TopInfluential.
+///
+/// OnLinkAdded(entity, user) marks stale exactly the lists whose inputs a
+/// confirmed link changed: entity's own list in every surface (its
+/// community total moved) and, for each co-candidate the user has
+/// tweeted about, that list with the user's cached entry reset (the
+/// user's tweet distribution over the surface moved). PrecomputeAll or
+/// the next lookup re-ranks only stale lists.
 class InfluentialUserIndex {
  public:
   /// \param ckb complemented knowledgebase (must outlive the index)
@@ -33,26 +45,37 @@ class InfluentialUserIndex {
   InfluentialUserIndex(const kb::ComplementedKnowledgebase* ckb,
                        InfluenceMethod method, uint32_t top_k);
 
-  /// Pre-computes entries for every surface form of the knowledgebase
-  /// (the offline pass). Optional: lookups fill the cache lazily.
+  /// Fills every surface form of the knowledgebase that has a stale list
+  /// (the offline pass, and the refill after feedback). Optional:
+  /// lookups fill the cache lazily.
   void PrecomputeAll();
 
   /// The top influential users of `entity` in the context of the
-  /// candidate set of `surface_id`. Computed and cached on first use.
+  /// candidate set of `surface_id`. Computed and cached on first use, and
+  /// re-ranked on the first use after OnLinkAdded made it stale.
   const std::vector<InfluentialUser>& Get(uint32_t surface_id,
                                           kb::EntityId entity);
 
-  /// Drops every cached entry whose surface has `entity` among its
-  /// candidates. Call after feedback links change the entity's community.
-  void Invalidate(kb::EntityId entity);
+  /// Call after ckb->AddLink(entity, posting by `user`): marks stale the
+  /// lists that link changed (see the class comment).
+  void OnLinkAdded(kb::EntityId entity, kb::UserId user);
 
+  /// Number of (surface, candidate) lists that are filled and fresh.
   size_t CachedEntries() const;
 
  private:
+  struct CandidateList {
+    // Discriminativeness per member, aligned with ckb->Community(entity);
+    // shorter than the community until appended members are evaluated,
+    // kUnsetDisc where OnLinkAdded reset an entry.
+    std::vector<double> disc;
+    std::vector<InfluentialUser> top;
+    bool stale = true;
+  };
   struct SurfaceCache {
-    bool valid = false;
-    // Aligned with the surface's candidate list.
-    std::vector<std::vector<InfluentialUser>> per_candidate;
+    bool stale = true;  // some list needs (re-)ranking
+    // Aligned with the surface's candidate list; empty until first fill.
+    std::vector<CandidateList> lists;
   };
 
   void FillSurface(uint32_t surface_id);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 
 #include "mel.h"
@@ -11,6 +12,7 @@
 #include "eval/weight_learner.h"
 #include "gen/workload.h"
 #include "social/influential_index.h"
+#include "util/metrics.h"
 
 namespace mel {
 namespace {
@@ -56,7 +58,7 @@ TEST_F(ExtensionsFixture, InfluentialIndexMatchesOnlineComputation) {
   }
 }
 
-TEST_F(ExtensionsFixture, InfluentialIndexInvalidationRefreshes) {
+TEST_F(ExtensionsFixture, InfluentialIndexOnLinkAddedRefreshes) {
   kb::ComplementedKnowledgebase fresh(&harness_->kb());
   social::InfluentialUserIndex index(&fresh,
                                      social::InfluenceMethod::kEntropy, 3);
@@ -69,13 +71,183 @@ TEST_F(ExtensionsFixture, InfluentialIndexInvalidationRefreshes) {
   kb::EntityId entity = candidates[0].entity;
   EXPECT_TRUE(index.Get(sid, entity).empty());
 
-  // A new link makes user 7 influential; without invalidation the cache
+  // A new link makes user 7 influential; without OnLinkAdded the cache
   // would still say "empty".
   fresh.AddLink(entity, kb::Posting{1, 7, 100});
-  index.Invalidate(entity);
+  index.OnLinkAdded(entity, 7);
   auto updated = index.Get(sid, entity);
   ASSERT_EQ(updated.size(), 1u);
   EXPECT_EQ(updated[0].user, 7u);
+}
+
+// Confirms a seeded random link sequence through OnLinkAdded and checks
+// that every cached (surface, candidate) list is bit-identical to a fresh
+// TopInfluential over the same complemented knowledgebase.
+class InfluentialIndexExactness : public ExtensionsFixture {
+ protected:
+  struct Confirm {
+    kb::EntityId entity;
+    kb::UserId user;
+  };
+
+  // A random confirm on a candidate of `sid`. Half the time the author
+  // already tweeted about a co-candidate, so cached entries reset; else a
+  // random user, usually a first tweet about the entity (a community
+  // append).
+  Confirm RandomConfirm(const kb::ComplementedKnowledgebase& ckb,
+                        uint32_t sid, Rng* rng) const {
+    auto candidates = harness_->kb().CandidatesBySurfaceId(sid);
+    kb::EntityId entity = candidates[rng->Uniform(candidates.size())].entity;
+    auto co = ckb.Community(candidates[rng->Uniform(candidates.size())].entity);
+    kb::UserId user;
+    if (!co.empty() && rng->Bernoulli(0.5)) {
+      user = co[rng->Uniform(co.size())].first;
+    } else {
+      user = static_cast<kb::UserId>(
+          rng->Uniform(harness_->world().corpus.tweets_by_user.size()));
+    }
+    return Confirm{entity, user};
+  }
+
+  static void Apply(const Confirm& c, kb::TweetId tweet,
+                    kb::ComplementedKnowledgebase* ckb,
+                    social::InfluentialUserIndex* index) {
+    ckb->AddLink(c.entity, kb::Posting{tweet, c.user, 1000 + tweet});
+    index->OnLinkAdded(c.entity, c.user);
+  }
+
+  // Compares through Get, so stale lists take the lazy refill path.
+  static void ExpectAllListsExact(const kb::ComplementedKnowledgebase& ckb,
+                                  social::InfluenceMethod method,
+                                  uint32_t top_k,
+                                  social::InfluentialUserIndex* index) {
+    social::InfluenceEstimator fresh(&ckb, method);
+    const kb::Knowledgebase& kbase = ckb.base();
+    size_t mismatches = 0;
+    for (uint32_t sid = 0; sid < kbase.surfaces().size(); ++sid) {
+      std::vector<kb::EntityId> entities;
+      for (const auto& c : kbase.CandidatesBySurfaceId(sid)) {
+        entities.push_back(c.entity);
+      }
+      for (kb::EntityId e : entities) {
+        auto expected = fresh.TopInfluential(e, entities, top_k);
+        const auto& cached = index->Get(sid, e);
+        bool same = expected.size() == cached.size();
+        for (size_t i = 0; same && i < expected.size(); ++i) {
+          same = expected[i].user == cached[i].user &&
+                 std::memcmp(&expected[i].influence, &cached[i].influence,
+                             sizeof(double)) == 0;
+        }
+        mismatches += !same;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
+
+  void RunSequence(social::InfluenceMethod method, uint32_t top_k) {
+    kb::ComplementedKnowledgebase ckb = harness_->ckb();
+    social::InfluentialUserIndex index(&ckb, method, top_k);
+    const kb::Knowledgebase& kbase = harness_->kb();
+    std::vector<uint32_t> ambiguous;
+    for (uint32_t sid = 0; sid < kbase.surfaces().size(); ++sid) {
+      if (kbase.CandidatesBySurfaceId(sid).size() >= 2) {
+        ambiguous.push_back(sid);
+      }
+    }
+    ASSERT_GE(ambiguous.size(), 2u);
+    Rng rng(17);
+    kb::TweetId tweet = 1u << 30;
+
+    // Fill only even-indexed ambiguous surfaces, then confirm on the
+    // odd ones: their entities' other surfaces may be filled or not.
+    for (size_t i = 0; i < ambiguous.size(); i += 2) {
+      index.Get(ambiguous[i], kbase.CandidatesBySurfaceId(ambiguous[i])[0]
+                                  .entity);
+    }
+    for (int step = 0; step < 50; ++step) {
+      uint32_t sid = ambiguous[1 + 2 * rng.Uniform(ambiguous.size() / 2)];
+      Apply(RandomConfirm(ckb, sid, &rng), tweet++, &ckb, &index);
+    }
+    ExpectAllListsExact(ckb, method, top_k, &index);
+
+    // Feedback with the offline refill between rounds (the serving
+    // barrier), including a user's first tweet about an entity.
+    for (int round = 0; round < 20; ++round) {
+      for (int step = 0; step < 10; ++step) {
+        uint32_t sid = ambiguous[rng.Uniform(ambiguous.size())];
+        Apply(RandomConfirm(ckb, sid, &rng), tweet++, &ckb, &index);
+      }
+      index.PrecomputeAll();
+    }
+    uint32_t first_sid = ambiguous[0];
+    kb::EntityId first_entity =
+        kbase.CandidatesBySurfaceId(first_sid)[0].entity;
+    kb::UserId newcomer =
+        static_cast<kb::UserId>(harness_->world().corpus.tweets_by_user.size());
+    ASSERT_EQ(ckb.UserTweetCount(first_entity, newcomer), 0u);
+    Apply(Confirm{first_entity, newcomer}, tweet++, &ckb, &index);
+    Apply(Confirm{first_entity, newcomer}, tweet++, &ckb, &index);
+    index.PrecomputeAll();
+    ExpectAllListsExact(ckb, method, top_k, &index);
+
+    // Lazy lookups with no refill in between: repeated confirms by the
+    // same users, each list read right after.
+    for (int step = 0; step < 100; ++step) {
+      uint32_t sid = ambiguous[rng.Uniform(ambiguous.size())];
+      Confirm c = RandomConfirm(ckb, sid, &rng);
+      Apply(c, tweet++, &ckb, &index);
+      Apply(c, tweet++, &ckb, &index);
+      index.Get(sid, c.entity);
+    }
+    ExpectAllListsExact(ckb, method, top_k, &index);
+  }
+};
+
+TEST_F(InfluentialIndexExactness, TfIdfMatchesFreshRanking) {
+  RunSequence(social::InfluenceMethod::kTfIdf, 5);
+}
+
+TEST_F(InfluentialIndexExactness, EntropyMatchesFreshRanking) {
+  RunSequence(social::InfluenceMethod::kEntropy, 5);
+}
+
+TEST_F(InfluentialIndexExactness, WholeCommunityMatchesFreshRanking) {
+  RunSequence(social::InfluenceMethod::kEntropy, 0);
+}
+
+// Refill work is deterministic, so it is pinned exactly: discriminativeness
+// evaluations for the offline pass plus 200 confirms, refilled after every
+// 4 (a serving barrier each). The confirms cost 1392 evaluations.
+// Re-evaluating every member of every list on each surface of a confirmed
+// entity, as the coarse per-entity invalidation did, cost 53119 for the
+// same sequence (61323 in total).
+TEST_F(ExtensionsFixture, InfluentialIndexDiscEvalsArePinned) {
+  kb::ComplementedKnowledgebase ckb = harness_->ckb();
+  social::InfluentialUserIndex index(&ckb, social::InfluenceMethod::kEntropy,
+                                     5);
+  metrics::Counter* evals = metrics::Registry().GetCounter(
+      "social.influential_index.disc_evals_total");
+  const uint64_t before = evals->Value();
+  index.PrecomputeAll();
+  const uint64_t offline = evals->Value() - before;
+  const kb::Knowledgebase& kbase = harness_->kb();
+  Rng rng(29);
+  for (int step = 0; step < 200; ++step) {
+    uint32_t sid = static_cast<uint32_t>(rng.Uniform(kbase.surfaces().size()));
+    auto candidates = kbase.CandidatesBySurfaceId(sid);
+    kb::EntityId entity = candidates[rng.Uniform(candidates.size())].entity;
+    auto community = ckb.Community(entity);
+    kb::UserId user =
+        community.empty() || rng.Bernoulli(0.25)
+            ? static_cast<kb::UserId>(rng.Uniform(
+                  harness_->world().corpus.tweets_by_user.size()))
+            : community[rng.Uniform(community.size())].first;
+    ckb.AddLink(entity, kb::Posting{(1u << 30) + step, user, 1000 + step});
+    index.OnLinkAdded(entity, user);
+    if (step % 4 == 3) index.PrecomputeAll();
+  }
+  EXPECT_EQ(offline, 8204u);
+  EXPECT_EQ(evals->Value() - before, 9596u);
 }
 
 TEST_F(ExtensionsFixture, PrecomputeAllFillsEverySurface) {
