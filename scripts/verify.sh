@@ -50,7 +50,10 @@
 # correctness gate. stream_feedback fails unless it reports
 # "correct": true and at least one acknowledged write, so every verify
 # runs the ConfirmLink + WarmUp barrier (the incremental influential-user
-# refill) under the same gate. Skip it with MEL_SKIP_E2E=1.
+# refill) under the same gate; it also fails when its traced
+# recency.memo_hit_ratio drops below 0.5 (the Eq.-11 memo must keep
+# hitting while the clock ticks and feedback lands). Skip it with
+# MEL_SKIP_E2E=1.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -173,8 +176,11 @@ assert counts["rebuilds"] >= 1, "no erase rebuild ran on the barrier"
 import json, sys
 result = json.loads(sys.stdin.read().splitlines()[-1])
 acks = result["metrics"]["write_ack_samples"]["value"]
-print("stream_feedback: correct", result["correct"], "write acks", acks)
+memo = result["metrics"]["recency.memo_hit_ratio"]["value"]
+print("stream_feedback: correct", result["correct"], "write acks", acks,
+      "recency memo hit ratio", memo)
 assert result["correct"] is True, "e2e correctness gate failed"
 assert acks >= 1, "no feedback write was acknowledged on the barrier"
+assert memo >= 0.5, "the Eq.-11 memo no longer survives clock ticks"
 '
 fi

@@ -197,10 +197,11 @@ TweetLinkResult EntityLinker::LinkTweet(const kb::Tweet& tweet) const {
 void EntityLinker::ConfirmLink(kb::EntityId entity, const kb::Tweet& tweet) {
   ckb_->AddLink(entity,
                 kb::Posting{tweet.id, tweet.user, tweet.time});
-  // The entity's community changed; cached influential users it affects
-  // are stale (Sec. 3.2.2: "update existing knowledge such as user
-  // influences").
+  // The entity's community and postings changed: cached influential
+  // users it affects are stale (Sec. 3.2.2: "update existing knowledge
+  // such as user influences"), and so is its quiet proof.
   influential_index_.OnLinkAdded(entity, tweet.user);
+  window_.OnLinkAdded(entity);
 }
 
 void EntityLinker::WarmUp() {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -52,7 +53,7 @@ std::vector<double> RecencyPropagator::PropagateCluster(
     uint32_t cluster, kb::Timestamp now) const {
   const uint64_t epoch = source_->Epoch();
   if (!options_.enable_cache || epoch == RecencySource::kNoEpoch) {
-    return ComputeCluster(cluster, now);
+    return Iterate(cluster, InitialVector(cluster, now));
   }
   const PropagatorMetrics& pm = GetPropagatorMetrics();
   const uint64_t token = source_->WindowToken(now);
@@ -65,33 +66,49 @@ std::vector<double> RecencyPropagator::PropagateCluster(
     pm.cache_hits->Increment();
     return slot.values;
   }
-  if (slot.valid) pm.cache_invalidations->Increment();
-  pm.cache_misses->Increment();
-  slot.values = ComputeCluster(cluster, now);
+  std::vector<double> initial = InitialVector(cluster, now);
+  // The iteration is a pure function of S_r^0, so an S_r^0 with the same
+  // bits yields the same result bits. Compare bits, not values: == takes
+  // -0.0 for 0.0, which the iteration need not map to the same bits.
+  if (slot.valid && std::memcmp(initial.data(), slot.initial.data(),
+                                initial.size() * sizeof(double)) == 0) {
+    pm.cache_hits->Increment();
+  } else {
+    if (slot.valid) pm.cache_invalidations->Increment();
+    pm.cache_misses->Increment();
+    slot.values = Iterate(cluster, initial);
+    slot.initial = std::move(initial);
+  }
   slot.epoch = epoch;
   slot.token = token;
   slot.valid = true;
   return slot.values;
 }
 
-std::vector<double> RecencyPropagator::ComputeCluster(
+std::vector<double> RecencyPropagator::InitialVector(
     uint32_t cluster, kb::Timestamp now) const {
+  // The vector is NOT normalized here — the iteration of Eq. 11 is
+  // linear, and keeping raw masses preserves relative burst magnitude
+  // across clusters so the final candidate-set normalization (Eq. 9)
+  // stays meaningful.
+  auto members = network_->ClusterMembers(cluster);
+  std::vector<double> initial(members.size());
+  for (size_t i = 0; i < members.size(); ++i) {
+    initial[i] = source_->BurstMass(members[i], now);
+  }
+  return initial;
+}
+
+std::vector<double> RecencyPropagator::Iterate(
+    uint32_t cluster, const std::vector<double>& initial) const {
   auto members = network_->ClusterMembers(cluster);
   const size_t m = members.size();
   const PropagatorMetrics& pm = GetPropagatorMetrics();
   pm.runs->Increment();
   if (metrics::Enabled()) pm.cluster_size->Record(m);
 
-  // Initial vector S_r^0: raw thresholded burst mass. The vector is NOT
-  // normalized here — the iteration of Eq. 11 is linear, and keeping raw
-  // masses preserves relative burst magnitude across clusters so the
-  // final candidate-set normalization (Eq. 9) stays meaningful.
-  std::vector<double> initial(m, 0.0);
   double total = 0;
-  for (size_t i = 0; i < m; ++i) {
-    initial[i] = source_->BurstMass(members[i], now);
-    total += initial[i];
-  }
+  for (double v : initial) total += v;
   if (total == 0 || m == 1) return initial;  // nothing to diffuse
 
   std::vector<double> current = initial;

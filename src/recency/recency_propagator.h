@@ -21,10 +21,12 @@ struct PropagatorOptions {
   uint32_t max_iterations = 20;
   /// ...or when the L1 change drops below this.
   double convergence_epsilon = 1e-6;
-  /// Memoize PropagateCluster results keyed by the source's
-  /// (Epoch, WindowToken): the power iteration reruns only when tweets
-  /// arrive/expire or `now` leaves the current window state. Only takes
-  /// effect for sources that track their mutations (Epoch != kNoEpoch).
+  /// Memoize PropagateCluster results per cluster. A query with the
+  /// slot's (Epoch, WindowToken) returns the stored vector outright;
+  /// any other query rebuilds S_r^0 and reuses the stored vector when
+  /// S_r^0 is bitwise unchanged, so the power iteration reruns only when
+  /// the cluster's thresholded burst vector moves. Only takes effect for
+  /// sources that track their mutations (Epoch != kNoEpoch).
   bool enable_cache = true;
 };
 
@@ -40,8 +42,8 @@ struct PropagatorOptions {
 /// With the cache enabled, per-cluster results are memoized under a
 /// per-cluster mutex, so concurrent LinkMention calls (the WarmUp
 /// contract) stay safe and the power iteration runs at most once per
-/// (cluster, window state). Hits/misses/invalidation counts are exported
-/// as `recency.cache.*`.
+/// (cluster, S_r^0). Hits (window-state and content alike), misses and
+/// invalidations are exported as `recency.cache.*`.
 class RecencyPropagator {
  public:
   /// All dependencies must outlive this object.
@@ -69,15 +71,21 @@ class RecencyPropagator {
   const PropagatorOptions& options() const { return options_; }
 
  private:
-  /// The uncached Eq. 11 power iteration.
-  std::vector<double> ComputeCluster(uint32_t cluster,
-                                     kb::Timestamp now) const;
+  /// S_r^0: the raw thresholded burst mass of every cluster member.
+  std::vector<double> InitialVector(uint32_t cluster,
+                                    kb::Timestamp now) const;
+
+  /// The uncached Eq. 11 power iteration from S_r^0. A pure function of
+  /// `initial` and the (immutable) network.
+  std::vector<double> Iterate(uint32_t cluster,
+                              const std::vector<double>& initial) const;
 
   struct CacheSlot {
     std::mutex mu;
     uint64_t epoch = 0;
     uint64_t token = 0;
     bool valid = false;
+    std::vector<double> initial;  // the S_r^0 `values` was iterated from
     std::vector<double> values;
   };
 

@@ -39,7 +39,9 @@ class RecencySource {
   /// Window-state token: BurstMass(e, now) is identical for any two `now`
   /// values with equal (Epoch, WindowToken). The default is the exact
   /// timestamp — always correct; bucketed sources return a coarser token
-  /// so queries inside one bucket share memoized results.
+  /// so queries inside one bucket skip even rebuilding S_r^0. A token
+  /// miss is not a recompute: RecencyPropagator still reuses its result
+  /// when the rebuilt S_r^0 is bitwise unchanged.
   virtual uint64_t WindowToken(kb::Timestamp now) const {
     return static_cast<uint64_t>(now);
   }

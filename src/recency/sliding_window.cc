@@ -10,6 +10,30 @@ SlidingWindowRecency::SlidingWindowRecency(
     : ckb_(ckb), tau_(tau), theta1_(theta1) {
   MEL_CHECK(ckb != nullptr);
   MEL_CHECK(tau > 0);
+  quiet_at_.resize(ckb->base().num_entities());
+  for (kb::EntityId e = 0; e < quiet_at_.size(); ++e) ProveQuiet(e);
+}
+
+void SlidingWindowRecency::ProveQuiet(kb::EntityId e) {
+  const std::span<const kb::Posting> p = ckb_->Postings(e);  // sorted
+  quiet_at_[e] = kNotQuiet;
+  // With theta1 == 0 any count is a burst, so only "no postings" is
+  // quiet (and that case is already cheap); give no proof at all.
+  if (theta1_ == 0) return;
+  // Some window [t, t + tau] holds theta1 postings iff theta1 consecutive
+  // sorted postings span at most tau; inclusive on both ends, as in
+  // RecentTweetCount's [now - tau, now].
+  for (size_t i = 0; i + theta1_ <= p.size(); ++i) {
+    if (p[i + theta1_ - 1].time - p[i].time <= tau_) return;
+  }
+  quiet_at_[e] = static_cast<uint32_t>(p.size());
+}
+
+void SlidingWindowRecency::OnLinkAdded(kb::EntityId e) {
+  MEL_CHECK(e < quiet_at_.size());
+  // A link only adds windows, never removes one: an entity that already
+  // bursts somewhere keeps bursting there.
+  if (quiet_at_[e] != kNotQuiet) ProveQuiet(e);
 }
 
 uint32_t SlidingWindowRecency::RecentCount(kb::EntityId e,
@@ -19,6 +43,7 @@ uint32_t SlidingWindowRecency::RecentCount(kb::EntityId e,
 
 double SlidingWindowRecency::BurstMass(kb::EntityId e,
                                        kb::Timestamp now) const {
+  if (ProvenQuiet(e)) return 0.0;
   uint32_t count = RecentCount(e, now);
   return count >= theta1_ ? static_cast<double>(count) : 0.0;
 }

@@ -367,7 +367,13 @@ void CheckRecency(const RandomWorkload& w, Recorder& rec) {
   ComplementForWorkload(w, &ckb);
 
   auto network = recency::PropagationNetwork::Build(kb, w.theta2);
+  // The workload's feedback lands in the CKB between queries. `notified`
+  // hears of every link through OnLinkAdded, as the linker's own window
+  // does; `window` never does, so entities that gain links fall back
+  // from their quiet proofs to the binary search.
   recency::SlidingWindowRecency window(&ckb, w.linker.tau, w.linker.theta1);
+  recency::SlidingWindowRecency notified(&ckb, w.linker.tau,
+                                         w.linker.theta1);
   const OracleRecencySource oracle_source(&ckb, w.linker.tau,
                                           w.linker.theta1);
 
@@ -375,21 +381,32 @@ void CheckRecency(const RandomWorkload& w, Recorder& rec) {
   cache_on.enable_cache = true;
   recency::PropagatorOptions cache_off = w.linker.propagator;
   cache_off.enable_cache = false;
-  recency::RecencyPropagator prop_on(&network, &window, cache_on);
+  recency::RecencyPropagator prop_on(&network, &notified, cache_on);
   recency::RecencyPropagator prop_off(&network, &window, cache_off);
 
-  for (const auto& q : w.queries) {
-    if (rec.full()) break;
+  size_t next_feedback = 0;
+  for (size_t qi = 0; qi < w.queries.size() && !rec.full(); ++qi) {
+    while (next_feedback < w.feedback.size() &&
+           w.feedback[next_feedback].before_query <= qi) {
+      const FeedbackEvent& ev = w.feedback[next_feedback];
+      ckb.AddLink(ev.entity, kb::Posting{ev.tweet.id, ev.tweet.user,
+                                         ev.tweet.time});
+      notified.OnLinkAdded(ev.entity);
+      ++next_feedback;
+    }
+    const WorkloadQuery& q = w.queries[qi];
 
-    // Eq. 9 inputs agree entity by entity (binary-search window vs scan).
+    // Eq. 9 inputs agree entity by entity (binary-search window vs scan),
+    // through both the notified and the fallback quiet proofs.
     bool counts_ok = true;
     kb::EntityId bad = 0;
     for (kb::EntityId e = 0; e < kb.num_entities(); ++e) {
+      const double want =
+          OracleBurstMass(ckb, e, q.now, w.linker.tau, w.linker.theta1);
       if (window.RecentCount(e, q.now) !=
               OracleRecentCount(ckb, e, q.now, w.linker.tau) ||
-          window.BurstMass(e, q.now) !=
-              OracleBurstMass(ckb, e, q.now, w.linker.tau,
-                              w.linker.theta1)) {
+          window.BurstMass(e, q.now) != want ||
+          notified.BurstMass(e, q.now) != want) {
         counts_ok = false;
         bad = e;
         break;
@@ -398,8 +415,8 @@ void CheckRecency(const RandomWorkload& w, Recorder& rec) {
     rec.Check(counts_ok, "recent-count-mismatch e=" + std::to_string(bad) +
                              " now=" + std::to_string(q.now));
 
-    // Eq. 11 over the query's candidate set: cache on == cache off
-    // bitwise (same ComputeCluster), both near the dense oracle.
+    // Eq. 11 over the query's candidate set: cache on (notified window)
+    // == cache off (fallback window) bitwise, both near the dense oracle.
     const auto candidates =
         OracleGenerateCandidates(kb, q.mention, w.linker.fuzzy_max_edits);
     if (candidates.empty()) continue;

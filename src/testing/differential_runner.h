@@ -56,9 +56,10 @@ struct DiffReport {
 ///    brute-force edit-distance scan;
 ///  * WLM — CSR merge/gallop intersection against std::set_intersection;
 ///  * propagation network — pooled vs 1-thread Build via IdenticalTo;
-///  * recency — sliding-window counts against the linear-scan oracle,
-///    and the propagator with cache on vs off vs the dense-matrix
-///    power iteration;
+///  * recency — sliding-window counts against the linear-scan oracle
+///    while the workload's feedback lands, through a window notified of
+///    each link and one that never is, and the propagator with cache on
+///    vs off vs the dense-matrix power iteration;
 ///  * influence — TopInfluential against the posting-list oracle;
 ///  * the full Eq.-1 pipeline — one EntityLinker per backend
 ///    configuration (each with its own identically-complemented CKB and

@@ -250,6 +250,37 @@ TEST_F(ExtensionsFixture, InfluentialIndexDiscEvalsArePinned) {
   EXPECT_EQ(evals->Value() - before, 9596u);
 }
 
+// Eq.-11 work is deterministic too: power iterations (runs) while the
+// linker links the test split's first 300 tweets in time order and every
+// fourth mention is confirmed with its true entity, each confirm followed
+// by WarmUp (a serving barrier). Keying the memo on (epoch, timestamp)
+// alone reran the iteration 1098 times for this sequence; keying it also
+// on S_r^0's bits reruns it only when a cluster's burst vector moved.
+TEST_F(ExtensionsFixture, RecencyPropagationRunsArePinned) {
+  kb::ComplementedKnowledgebase ckb = harness_->ckb();
+  core::EntityLinker linker(&harness_->kb(), &ckb, &harness_->reachability(),
+                            &harness_->network(),
+                            harness_->DefaultLinkerOptions());
+  linker.WarmUp();
+  metrics::Counter* runs =
+      metrics::Registry().GetCounter("recency.propagation.runs_total");
+  const uint64_t before = runs->Value();
+  const auto& tweets = harness_->world().corpus.tweets;
+  const auto& indices = harness_->test_split().tweet_indices;
+  uint32_t mentions = 0;
+  for (size_t i = 0; i < std::min<size_t>(indices.size(), 300); ++i) {
+    const gen::LabeledTweet& lt = tweets[indices[i]];
+    for (const gen::LabeledMention& m : lt.mentions) {
+      linker.LinkMention(m.surface, lt.tweet.user, lt.tweet.time);
+      if (++mentions % 4 == 0) {
+        linker.ConfirmLink(m.truth, lt.tweet);
+        linker.WarmUp();
+      }
+    }
+  }
+  EXPECT_EQ(runs->Value() - before, 168u);
+}
+
 TEST_F(ExtensionsFixture, PrecomputeAllFillsEverySurface) {
   social::InfluentialUserIndex index(&harness_->ckb(),
                                      social::InfluenceMethod::kTfIdf, 2);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 
 #include "kb/complemented_kb.h"
@@ -8,7 +9,9 @@
 #include "recency/propagation_network.h"
 #include "recency/recency_propagator.h"
 #include "recency/sliding_window.h"
+#include "testing/oracle.h"
 #include "util/metrics.h"
+#include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace mel::recency {
@@ -367,21 +370,142 @@ TEST_F(RecencyFixture, BurstTrackerWindowTokenIsBucketGranular) {
             tracker.ApproxRecentCount(nba_, 1009));
 }
 
+bool BitwiseEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 TEST_F(RecencyFixture, BurstTrackerCacheHitsWithinBucket) {
   auto net = PropagationNetwork::Build(kb_, 0.3);
   BurstTracker tracker(kb_.num_entities(), 100, 10, 5);
   RecencyPropagator propagator(&net, &tracker, PropagatorOptions{});
+  PropagatorOptions off;
+  off.enable_cache = false;
+  RecencyPropagator uncached(&net, &tracker, off);
   for (int i = 0; i < 20; ++i) tracker.Observe(nba_, 1000);
+  const uint32_t cluster = net.Cluster(nba_);
 
   const uint64_t hits0 = Hits(), misses0 = Misses();
-  propagator.PropagateCluster(net.Cluster(nba_), 1050);
+  propagator.PropagateCluster(cluster, 1050);
   // Different `now`, same bucket pair: served from cache.
-  propagator.PropagateCluster(net.Cluster(nba_), 1055);
+  propagator.PropagateCluster(cluster, 1055);
   EXPECT_EQ(Misses(), misses0 + 1);
   EXPECT_EQ(Hits(), hits0 + 1);
-  // Crossing a bucket boundary changes the token.
-  propagator.PropagateCluster(net.Cluster(nba_), 1061);
+  // Crossing a bucket boundary changes the token but no count (the burst
+  // at 1000 is still inside the window): S_r^0 is unchanged, a hit.
+  const auto crossed = propagator.PropagateCluster(cluster, 1061);
+  EXPECT_EQ(Misses(), misses0 + 1);
+  EXPECT_EQ(Hits(), hits0 + 2);
+  EXPECT_TRUE(BitwiseEqual(crossed, uncached.PropagateCluster(cluster, 1061)));
+  // Crossing the boundary that ages the burst out changes a count: a miss.
+  const auto aged = propagator.PropagateCluster(cluster, 1111);
   EXPECT_EQ(Misses(), misses0 + 2);
+  EXPECT_EQ(Hits(), hits0 + 2);
+  EXPECT_TRUE(BitwiseEqual(aged, uncached.PropagateCluster(cluster, 1111)));
+}
+
+// A seeded stream of queries whose `now` mostly advances but sometimes
+// jumps back, with links landing in between (half of them reported to the
+// window, half not): the content-keyed cache must agree bit for bit with
+// the uncached propagator, and BurstMass with the scan oracle, at every
+// step, while still hitting across distinct `now` values.
+TEST_F(RecencyFixture, ContentKeyedCacheMatchesUncachedOnSeededStream) {
+  auto net = PropagationNetwork::Build(kb_, 0.3);
+  SlidingWindowRecency window(ckb_.get(), 100, 3);
+  PropagatorOptions off;
+  off.enable_cache = false;
+  RecencyPropagator cached(&net, &window, PropagatorOptions{});
+  RecencyPropagator uncached(&net, &window, off);
+  Rng rng(41);
+  kb::Timestamp now = 1000;
+  kb::Timestamp previous = -1;
+  uint64_t hits_at_new_now = 0;
+  for (int step = 0; step < 400; ++step) {
+    if (rng.Bernoulli(0.3)) {
+      const auto e = static_cast<kb::EntityId>(rng.Uniform(5));  // topical
+      ckb_->AddLink(e, kb::Posting{next_tweet_++, 1,
+                                   now - rng.UniformInt(0, 150)});
+      if (rng.Bernoulli(0.5)) window.OnLinkAdded(e);
+    }
+    now = rng.Bernoulli(0.1) ? now - rng.UniformInt(0, 200)
+                             : now + rng.UniformInt(0, 30);
+    for (kb::EntityId e = 0; e < kb_.num_entities(); ++e) {
+      ASSERT_EQ(window.BurstMass(e, now),
+                testing::OracleBurstMass(*ckb_, e, now, 100, 3))
+          << "step " << step << " entity " << e;
+    }
+    const uint64_t hits0 = Hits();
+    for (uint32_t c = 0; c < net.num_clusters(); ++c) {
+      ASSERT_TRUE(BitwiseEqual(cached.PropagateCluster(c, now),
+                               uncached.PropagateCluster(c, now)))
+          << "step " << step << " cluster " << c;
+    }
+    if (now != previous) hits_at_new_now += Hits() - hits0;
+    previous = now;
+  }
+  EXPECT_GT(hits_at_new_now, 0u);
+}
+
+// ------------------------------------------------------------ quiet proof
+
+TEST_F(RecencyFixture, QuietProofWindowIsInclusive) {
+  // Two postings exactly tau apart share the window [1000, 1100].
+  Burst(player_, 1000, 1);
+  Burst(player_, 1100, 1);
+  // One tick further apart, no window holds both.
+  Burst(expert_, 1000, 1);
+  Burst(expert_, 1101, 1);
+  SlidingWindowRecency window(ckb_.get(), 100, 2);
+  EXPECT_FALSE(window.ProvenQuiet(player_));
+  EXPECT_DOUBLE_EQ(window.BurstMass(player_, 1100), 2.0);
+  EXPECT_TRUE(window.ProvenQuiet(expert_));
+  for (kb::Timestamp now : {1000, 1050, 1100, 1101, 1200}) {
+    EXPECT_DOUBLE_EQ(window.BurstMass(expert_, now), 0.0);
+  }
+  // No postings at all: quiet.
+  EXPECT_TRUE(window.ProvenQuiet(nba_));
+}
+
+TEST_F(RecencyFixture, QuietProofWithThetaOneNeedsNoPostings) {
+  Burst(player_, 1000, 1);
+  SlidingWindowRecency window(ckb_.get(), 100, 1);
+  // Every single posting is a burst of one.
+  EXPECT_FALSE(window.ProvenQuiet(player_));
+  EXPECT_DOUBLE_EQ(window.BurstMass(player_, 1050), 1.0);
+  EXPECT_DOUBLE_EQ(window.BurstMass(player_, 1101), 0.0);
+  EXPECT_TRUE(window.ProvenQuiet(expert_));
+  EXPECT_DOUBLE_EQ(window.BurstMass(expert_, 1050), 0.0);
+}
+
+TEST_F(RecencyFixture, UnreportedLinkFallsBackToSearch) {
+  SlidingWindowRecency window(ckb_.get(), 100, 5);
+  ASSERT_TRUE(window.ProvenQuiet(nba_));
+  // The CKB gains a burst the window is never told about.
+  Burst(nba_, 1000, 6);
+  EXPECT_FALSE(window.ProvenQuiet(nba_));
+  EXPECT_DOUBLE_EQ(window.BurstMass(nba_, 1050), 6.0);
+  EXPECT_DOUBLE_EQ(window.BurstMass(nba_, 2000), 0.0);
+}
+
+TEST_F(RecencyFixture, OnLinkAddedEndsQuietWhenABurstForms) {
+  Burst(nba_, 1000, 1);
+  Burst(nba_, 1200, 1);
+  SlidingWindowRecency window(ckb_.get(), 100, 2);
+  EXPECT_TRUE(window.ProvenQuiet(nba_));
+  // Out of time order, so the posting list must be re-sorted first.
+  ckb_->AddLink(nba_, kb::Posting{next_tweet_++, 1, 1150});
+  window.OnLinkAdded(nba_);
+  EXPECT_FALSE(window.ProvenQuiet(nba_));
+  EXPECT_DOUBLE_EQ(window.BurstMass(nba_, 1200), 2.0);
+  EXPECT_DOUBLE_EQ(window.BurstMass(nba_, 1250), 2.0);
+  EXPECT_DOUBLE_EQ(window.BurstMass(nba_, 1160), 0.0);
+  // A link that forms no burst renews the proof at the new count.
+  Burst(icml_, 1000, 1);
+  window.OnLinkAdded(icml_);
+  EXPECT_TRUE(window.ProvenQuiet(icml_));
+  Burst(icml_, 1500, 1);
+  window.OnLinkAdded(icml_);
+  EXPECT_TRUE(window.ProvenQuiet(icml_));
 }
 
 // ---------------------------------------------------------- parallel build
