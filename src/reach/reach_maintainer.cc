@@ -1,6 +1,7 @@
 #include "reach/reach_maintainer.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "graph/bfs.h"
 #include "util/logging.h"
@@ -20,6 +21,7 @@ struct MaintainerMetrics {
   metrics::Counter* unaffected;
   metrics::Histogram* apply_ns;
   metrics::Histogram* affected_nodes;
+  metrics::Histogram* wait_ns;
 };
 
 const MaintainerMetrics& GetMaintainerMetrics() {
@@ -35,6 +37,7 @@ const MaintainerMetrics& GetMaintainerMetrics() {
     mm.unaffected = reg.GetCounter("reach.patch.unaffected_total");
     mm.apply_ns = reg.GetHistogram("reach.patch.apply_ns");
     mm.affected_nodes = reg.GetHistogram("reach.patch.affected_nodes");
+    mm.wait_ns = reg.GetHistogram("reach.maintainer.wait_ns");
     return mm;
   }();
   return m;
@@ -97,22 +100,32 @@ ReachMaintainer::ApplyResult ReachMaintainer::ApplyDelta(
   ctx.dist_to_u = &dist_to_u_;
   ctx.dist_from_v = &dist_from_v_;
   ctx.pool = pool_;
+  ctx.maintenance = &maintenance_;
   result.results.reserve(indexes_.size());
-  for (WeightedReachability* index : indexes_) {
-    const MutationResult r = index->OnGraphMutation(ctx);
-    switch (r) {
-      case MutationResult::kPatched:
-        mm.patched->Increment();
-        break;
-      case MutationResult::kRebuilt:
-        mm.rebuilt->Increment();
-        break;
-      case MutationResult::kUnaffected:
-        mm.unaffected->Increment();
-        break;
+  const auto posted = std::chrono::steady_clock::now();
+  maintenance_.Run([&] {
+    if (metrics::Enabled()) {
+      mm.wait_ns->Record(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - posted)
+              .count()));
     }
-    result.results.push_back(r);
-  }
+    for (WeightedReachability* index : indexes_) {
+      const MutationResult r = index->OnGraphMutation(ctx);
+      switch (r) {
+        case MutationResult::kPatched:
+          mm.patched->Increment();
+          break;
+        case MutationResult::kRebuilt:
+          mm.rebuilt->Increment();
+          break;
+        case MutationResult::kUnaffected:
+          mm.unaffected->Increment();
+          break;
+      }
+      result.results.push_back(r);
+    }
+  });
   return result;
 }
 

@@ -7,6 +7,7 @@
 #include "graph/directed_graph.h"
 #include "graph/mutation.h"
 #include "reach/weighted_reachability.h"
+#include "util/serial_executor.h"
 #include "util/thread_pool.h"
 
 namespace mel::reach {
@@ -23,9 +24,21 @@ namespace mel::reach {
 /// Register a CachedReachability AFTER the backend it wraps, so the
 /// backend is patched before the cache invalidates against it.
 ///
+/// Threading: the maintainer owns one maintenance thread (started by the
+/// first applied delta) and runs every hook on it, so all label
+/// construction happens on one thread. ApplyDelta splices the graph and
+/// runs the two BFS on the caller, then blocks until the hooks returned:
+/// its contract stays synchronous. A hook may leave work queued on that
+/// thread (ctx.maintenance) — the 2-hop cover's erase rebuild does; the
+/// next delta's hooks queue behind it and so find it finished. ApplyDelta
+/// records in reach.maintainer.wait_ns how long its hooks waited.
+///
 /// Thread safety: ApplyDelta must be externally serialized against both
 /// other ApplyDelta calls and all index/graph readers (the serving layer
-/// provides this with its epoch barrier; tests use a writer lock).
+/// provides this with its epoch barrier; tests use a writer lock). Work
+/// left queued by a hook runs concurrently with readers. Do not call
+/// ApplyDelta from inside a ThreadPool::ParallelFor body: the hooks run
+/// on another thread and may need the pool the caller is holding.
 /// Publishes graph.mutation.* and reach.patch.* metrics.
 class ReachMaintainer {
  public:
@@ -50,6 +63,10 @@ class ReachMaintainer {
   /// Applies one edge delta: graph splice, shared BFS, index hooks.
   ApplyResult ApplyDelta(const graph::EdgeDelta& delta);
 
+  /// Blocks until the work the hooks left queued has run (benchmarks
+  /// use it to time a delta to completion).
+  void Drain() { maintenance_.Drain(); }
+
   const graph::DirectedGraph& graph() const { return *g_; }
   uint32_t max_hops() const { return max_hops_; }
   size_t num_registered() const { return indexes_.size(); }
@@ -63,6 +80,9 @@ class ReachMaintainer {
   // sentinel), rebuilt by each ApplyDelta.
   std::vector<uint32_t> dist_to_u_;
   std::vector<uint32_t> dist_from_v_;
+  // Declared last: destroyed first, running any queued work while the
+  // members above still exist.
+  util::SerialExecutor maintenance_;
 };
 
 }  // namespace mel::reach

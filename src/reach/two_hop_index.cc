@@ -1,14 +1,18 @@
 #include "reach/two_hop_index.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <exception>
 #include <type_traits>
 #include <utility>
 
 #include "graph/stats.h"
+#include "reach/naive_reachability.h"
 #include "reach/reach_metrics.h"
 #include "util/logging.h"
 #include "util/metrics.h"
+#include "util/serial_executor.h"
 #include "util/serialize.h"
 #include "util/simd/simd.h"
 #include "util/sorted_intersect.h"
@@ -29,6 +33,8 @@ struct TwoHopMetrics {
   metrics::Histogram* labels_scanned;
   metrics::Histogram* build_ns;
   metrics::Counter* build_label_scans;
+  metrics::Histogram* stale_sources;
+  metrics::Counter* fallback_queries;
 };
 
 const TwoHopMetrics& GetTwoHopMetrics() {
@@ -41,6 +47,9 @@ const TwoHopMetrics& GetTwoHopMetrics() {
     hm.build_ns = reg.GetHistogram("reach.twohop.build_ns");
     hm.build_label_scans =
         reg.GetCounter("reach.twohop.build_label_scans_total");
+    hm.stale_sources = reg.GetHistogram("reach.twohop.stale_sources");
+    hm.fallback_queries =
+        reg.GetCounter("reach.twohop.fallback_queries_total");
     return hm;
   }();
   return m;
@@ -54,23 +63,38 @@ const TwoHopMetrics& GetTwoHopMetrics() {
 const TwoHopMetrics& g_twohop_metrics = GetTwoHopMetrics();
 const ScoreOnlyMetrics& g_scoreonly_metrics = GetScoreOnlyMetrics();
 
+}  // namespace
+
 /// Per-thread query scratch: contributing-span indices, k-way merge
 /// cursors, and an epoch-marked seen array for union counting. Reused
 /// across queries so the steady-state hot path never allocates (vectors
 /// keep their capacity between calls).
-struct QueryScratch {
+struct TwoHopIndex::QueryScratch {
   std::vector<uint64_t> spans;
   std::vector<uint64_t> cursors;
   std::vector<uint32_t> seen;
   uint32_t seen_epoch = 0;
 };
 
-QueryScratch& TlsQueryScratch() {
+TwoHopIndex::QueryScratch& TwoHopIndex::TlsQueryScratch() {
   thread_local QueryScratch scratch;
   return scratch;
 }
 
-}  // namespace
+struct TwoHopIndex::PendingRebuild {
+  PendingRebuild(const graph::DirectedGraph& live, uint32_t max_hops)
+      : graph(live), naive(&live, max_hops) {}
+
+  const graph::DirectedGraph graph;  // the snapshot the job builds from
+  const NaiveReachability naive;     // answers stale sources meanwhile
+  std::vector<uint8_t> stale;        // 1 for every source in S
+  // Written by the job before `ready`: the rebuilt index, or what Build
+  // threw. A failed rebuild keeps routing as if still pending (exact),
+  // and the next hook rethrows.
+  std::unique_ptr<TwoHopIndex> index;
+  std::exception_ptr error;
+  std::atomic<bool> ready{false};
+};
 
 /// Each pass starts with SetHubs and ends with Reset, which restores
 /// hub_dist to kInf and visited to 0 by walking only what the pass touched.
@@ -322,11 +346,8 @@ void TwoHopIndex::ProcessLandmarkForward(NodeId landmark,
 uint32_t TwoHopIndex::CollectMinDistanceSpans(
     NodeId u, NodeId v, std::vector<uint64_t>& spans) const {
   spans.clear();
-  const auto outs = out_labels(u);
-  const auto ins = in_labels(v);
-  if (metrics::Enabled()) {
-    g_twohop_metrics.labels_scanned->Record(outs.size() + ins.size());
-  }
+  const auto outs = OutLabelsOf(u);
+  const auto ins = InLabelsOf(v);
 
   // Degenerate hub w = u as an entry of L_in(v): contributes a distance
   // but no out-entry span. Labels are sorted by hub node, so it — and
@@ -387,7 +408,35 @@ uint32_t TwoHopIndex::CollectMinDistanceSpans(
   return dmin;
 }
 
+uint32_t TwoHopIndex::QuerySpans(NodeId u, NodeId v,
+                                 std::vector<uint64_t>& spans) const {
+  if (metrics::Enabled()) {
+    g_twohop_metrics.labels_scanned->Record(OutLabelsOf(u).size() +
+                                            InLabelsOf(v).size());
+  }
+  return CollectMinDistanceSpans(u, v, spans);
+}
+
+const TwoHopIndex& TwoHopIndex::WaitForRebuild() const {
+  pending_->ready.wait(false, std::memory_order_acquire);
+  if (pending_->index == nullptr) std::rethrow_exception(pending_->error);
+  return *pending_->index;
+}
+
+const WeightedReachability* TwoHopIndex::PendingRoute(NodeId u) const {
+  const PendingRebuild& p = *pending_;
+  if (p.ready.load(std::memory_order_acquire) && p.index != nullptr) {
+    return p.index.get();
+  }
+  if (p.stale[u] == 0) return nullptr;
+  g_twohop_metrics.fallback_queries->Increment();
+  return &p.naive;
+}
+
 ReachQueryResult TwoHopIndex::Query(NodeId u, NodeId v) const {
+  if (pending_ != nullptr) [[unlikely]] {
+    if (const WeightedReachability* r = PendingRoute(u)) return r->Query(u, v);
+  }
   const TwoHopMetrics& hm = g_twohop_metrics;
   hm.lookups->Increment();
   ReachQueryResult result;
@@ -396,7 +445,7 @@ ReachQueryResult TwoHopIndex::Query(NodeId u, NodeId v) const {
     return result;
   }
   QueryScratch& scratch = TlsQueryScratch();
-  const uint32_t dmin = CollectMinDistanceSpans(u, v, scratch.spans);
+  const uint32_t dmin = QuerySpans(u, v, scratch.spans);
   if (dmin == kInf) {
     hm.unreachable->Increment();
     return result;
@@ -407,7 +456,7 @@ ReachQueryResult TwoHopIndex::Query(NodeId u, NodeId v) const {
   if (spans.empty()) return result;
   if (spans.size() == 1) {
     // Followees of one label are already sorted and duplicate-free.
-    const auto f = followees(spans[0]);
+    const auto f = FolloweesAt(spans[0]);
     result.followees.assign(f.begin(), f.end());
     return result;
   }
@@ -419,7 +468,7 @@ ReachQueryResult TwoHopIndex::Query(NodeId u, NodeId v) const {
     NodeId next = 0;
     bool any = false;
     for (size_t k = 0; k < spans.size(); ++k) {
-      const auto f = followees(spans[k]);
+      const auto f = FolloweesAt(spans[k]);
       if (cursors[k] < f.size() && (!any || f[cursors[k]] < next)) {
         next = f[cursors[k]];
         any = true;
@@ -428,33 +477,31 @@ ReachQueryResult TwoHopIndex::Query(NodeId u, NodeId v) const {
     if (!any) break;
     result.followees.push_back(next);
     for (size_t k = 0; k < spans.size(); ++k) {
-      const auto f = followees(spans[k]);
+      const auto f = FolloweesAt(spans[k]);
       if (cursors[k] < f.size() && f[cursors[k]] == next) ++cursors[k];
     }
   }
   return result;
 }
 
-namespace {
-
 /// |union| over the collected arena spans, never materializing it.
 /// One span is its own union; two spans use |A| + |B| − |A ∩ B| with the
 /// merge/gallop kernel shared with the WLM inlink intersection; more
 /// spans mark an epoch-versioned seen array — O(1) per element instead
 /// of a k-way comparison per emitted node.
-uint32_t CountSpanUnion(const TwoHopIndex& index, QueryScratch& scratch,
-                        uint32_t num_nodes) {
+uint32_t TwoHopIndex::CountSpanUnion(QueryScratch& scratch) const {
   const auto& spans = scratch.spans;
   if (spans.empty()) return 0;
   if (spans.size() == 1) {
-    return static_cast<uint32_t>(index.followees(spans[0]).size());
+    return static_cast<uint32_t>(FolloweesAt(spans[0]).size());
   }
   if (spans.size() == 2) {
-    const auto a = index.followees(spans[0]);
-    const auto b = index.followees(spans[1]);
+    const auto a = FolloweesAt(spans[0]);
+    const auto b = FolloweesAt(spans[1]);
     return static_cast<uint32_t>(a.size() + b.size()) -
            util::SortedIntersectCount(a, b);
   }
+  const uint32_t num_nodes = g_->num_nodes();
   if (scratch.seen.size() < num_nodes) scratch.seen.resize(num_nodes, 0);
   if (++scratch.seen_epoch == 0) {
     std::fill(scratch.seen.begin(), scratch.seen.end(), 0u);
@@ -463,7 +510,7 @@ uint32_t CountSpanUnion(const TwoHopIndex& index, QueryScratch& scratch,
   const uint32_t epoch = scratch.seen_epoch;
   uint32_t count = 0;
   for (uint64_t s : spans) {
-    for (NodeId t : index.followees(s)) {
+    for (NodeId t : FolloweesAt(s)) {
       if (scratch.seen[t] != epoch) {
         scratch.seen[t] = epoch;
         ++count;
@@ -473,9 +520,12 @@ uint32_t CountSpanUnion(const TwoHopIndex& index, QueryScratch& scratch,
   return count;
 }
 
-}  // namespace
-
 ReachCountResult TwoHopIndex::CountQuery(NodeId u, NodeId v) const {
+  if (pending_ != nullptr) [[unlikely]] {
+    if (const WeightedReachability* r = PendingRoute(u)) {
+      return r->CountQuery(u, v);
+    }
+  }
   const ScoreOnlyMetrics& sm = g_scoreonly_metrics;
   sm.lookups->Increment();
   ReachCountResult result;
@@ -484,14 +534,13 @@ ReachCountResult TwoHopIndex::CountQuery(NodeId u, NodeId v) const {
     return result;
   }
   QueryScratch& scratch = TlsQueryScratch();
-  const uint32_t dmin = CollectMinDistanceSpans(u, v, scratch.spans);
+  const uint32_t dmin = QuerySpans(u, v, scratch.spans);
   if (dmin == kInf) {
     sm.unreachable->Increment();
     return result;
   }
   result.distance = dmin;
-  result.followee_count =
-      CountSpanUnion(*this, scratch, g_->num_nodes());
+  result.followee_count = CountSpanUnion(scratch);
   return result;
 }
 
@@ -500,11 +549,16 @@ double TwoHopIndex::Score(NodeId u, NodeId v) const {
 }
 
 double TwoHopIndex::ScoreOnly(NodeId u, NodeId v) const {
+  if (pending_ != nullptr) [[unlikely]] {
+    if (const WeightedReachability* r = PendingRoute(u)) {
+      return r->ScoreOnly(u, v);
+    }
+  }
   const ScoreOnlyMetrics& sm = g_scoreonly_metrics;
   sm.lookups->Increment();
   if (u == v) return 1.0;
   QueryScratch& scratch = TlsQueryScratch();
-  const uint32_t dmin = CollectMinDistanceSpans(u, v, scratch.spans);
+  const uint32_t dmin = QuerySpans(u, v, scratch.spans);
   if (dmin == kInf) {
     sm.unreachable->Increment();
     return 0.0;
@@ -514,25 +568,75 @@ double TwoHopIndex::ScoreOnly(NodeId u, NodeId v) const {
   if (dmin == 1) return 1.0;
   const uint32_t out_degree = g_->OutDegree(u);
   if (out_degree == 0) return 0.0;
-  return WeightedScoreFromCount(
-      dmin, CountSpanUnion(*this, scratch, g_->num_nodes()), out_degree,
-      /*same_node=*/false);
+  return WeightedScoreFromCount(dmin, CountSpanUnion(scratch), out_degree,
+                                /*same_node=*/false);
 }
 
 uint64_t TwoHopIndex::TotalLabelEntries() const {
+  if (pending_ != nullptr) return WaitForRebuild().TotalLabelEntries();
   return in_entries_.size() + out_entries_.size();
 }
 
 MutationResult TwoHopIndex::OnGraphMutation(const MutationContext& ctx) {
+  InstallRebuild(ctx.graph);
   if (ctx.delta.op == graph::EdgeDelta::Op::kErase) {
-    // Decremental cover maintenance is unsound: the new shortest path of
-    // an affected pair was non-shortest before the erase and therefore
-    // appears in no label. Rebuild from the mutated graph.
-    *this = Build(g_, max_hops_, ctx.pool);
+    ScheduleRebuild(ctx);
     return MutationResult::kRebuilt;
   }
   PatchInsertedEdge(ctx);
   return MutationResult::kPatched;
+}
+
+void TwoHopIndex::InstallRebuild(const graph::DirectedGraph* live) {
+  if (pending_ == nullptr) return;
+  const TwoHopIndex& built = WaitForRebuild();
+  // Move the labels out unless a copy of this index still shares them.
+  TwoHopIndex rebuilt = pending_.use_count() == 1
+                            ? std::move(*pending_->index)
+                            : TwoHopIndex(built);
+  rebuilt.g_ = live;
+  *this = std::move(rebuilt);  // drops pending_ and the graph snapshot
+}
+
+void TwoHopIndex::ScheduleRebuild(const MutationContext& ctx) {
+  MEL_CHECK(ctx.maintenance != nullptr);
+  const NodeId v = ctx.delta.v;
+  const std::vector<uint32_t>& to_u = *ctx.dist_to_u;  // d(x, u)
+  const uint32_t n = g_->num_nodes();
+  auto pending = std::make_shared<PendingRebuild>(*ctx.graph, max_hops_);
+
+  // S holds the sources with a shortest path to v through (u, v)
+  // (proof in the header): d(x, u) is unchanged by the erase, and
+  // d_old(x, v) comes from the labels, which still describe the
+  // pre-erase graph.
+  std::vector<uint8_t>& stale = pending->stale;
+  stale.assign(n, 0);
+  std::vector<uint64_t> span_scratch;
+  for (NodeId x = 0; x < n; ++x) {
+    if (x == v || to_u[x] >= max_hops_) continue;  // kInf included
+    stale[x] = CollectMinDistanceSpans(x, v, span_scratch) == to_u[x] + 1;
+  }
+  if (metrics::Enabled()) {
+    g_twohop_metrics.stale_sources->Record(static_cast<uint64_t>(
+        std::count(stale.begin(), stale.end(), uint8_t{1})));
+  }
+
+  pending_ = pending;
+  auto job = [pending = std::move(pending), max_hops = max_hops_] {
+    // A one-participant pool: the rebuild never takes the shared pool's
+    // submit lock from serving batches, and Build's output does not
+    // depend on the thread count.
+    try {
+      util::ThreadPool solo(1);
+      pending->index = std::make_unique<TwoHopIndex>(
+          Build(&pending->graph, max_hops, &solo));
+    } catch (...) {
+      pending->error = std::current_exception();
+    }
+    pending->ready.store(true, std::memory_order_release);
+    pending->ready.notify_all();
+  };
+  ctx.maintenance->Post(std::move(job));
 }
 
 void TwoHopIndex::PatchInsertedEdge(const MutationContext& ctx) {
@@ -552,13 +656,13 @@ void TwoHopIndex::PatchInsertedEdge(const MutationContext& ctx) {
   build_in_labels_.assign(n, {});
   build_out_labels_.assign(n, {});
   for (NodeId x = 0; x < n; ++x) {
-    const auto ins = in_labels(x);
+    const auto ins = InLabelsOf(x);
     build_in_labels_[x].assign(ins.begin(), ins.end());
-    const auto outs = out_labels(x);
+    const auto outs = OutLabelsOf(x);
     auto& bo = build_out_labels_[x];
     bo.reserve(outs.size());
     for (size_t i = 0; i < outs.size(); ++i) {
-      const auto f = followees(out_offsets_[x] + i);
+      const auto f = FolloweesAt(out_offsets_[x] + i);
       bo.push_back(BuildOutLabel{outs[i].node, outs[i].dist,
                                  {f.begin(), f.end()}});
     }
@@ -691,6 +795,7 @@ bool ValidOffsets(std::span<const uint64_t> offsets, uint64_t expect_size,
 }  // namespace
 
 Status TwoHopIndex::Save(const std::string& path) const {
+  if (pending_ != nullptr) return WaitForRebuild().Save(path);
   const Mel3BlockDesc blocks[] = {
       Mel3BlockDesc::Of(Mel3BlockKind::kInOffsets, in_offsets_.view()),
       Mel3BlockDesc::Of(Mel3BlockKind::kInEntries, in_entries_.view()),
@@ -883,6 +988,7 @@ void TwoHopIndex::MaterializeOwned() {
 }
 
 uint64_t TwoHopIndex::IndexSizeBytes() const {
+  if (pending_ != nullptr) return WaitForRebuild().IndexSizeBytes();
   return in_offsets_.size() * sizeof(uint64_t) +
          in_entries_.size() * sizeof(InLabel) +
          out_offsets_.size() * sizeof(uint64_t) +
@@ -892,6 +998,7 @@ uint64_t TwoHopIndex::IndexSizeBytes() const {
 }
 
 uint64_t TwoHopIndex::LegacyIndexSizeBytes() const {
+  if (pending_ != nullptr) return WaitForRebuild().LegacyIndexSizeBytes();
   // Pre-arena layout: vector-of-vectors on both sides (24-byte vector
   // header per node per side), 8-byte in-labels, out-labels carrying an
   // inline std::vector<NodeId> (8 B node+dist plus a 24-byte vector

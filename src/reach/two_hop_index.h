@@ -83,19 +83,39 @@ class TwoHopIndex : public WeightedReachability {
   /// affected region so every pair routing through the edge keeps a
   /// minimum-distance meeting hub. The patched index can carry MORE
   /// labels than a fresh build — equality with a rebuild holds on query
-  /// results, not on label structure. Erasure rebuilds: a decremental
-  /// cover update is unsound because the pair's new shortest path was
-  /// non-shortest before and is in no label; the rebuilt index is byte
-  /// for byte a fresh Build of the mutated graph. A mapped index becomes
-  /// heap-owned when patched.
+  /// results, not on label structure. A mapped index becomes heap-owned
+  /// when patched.
+  ///
+  /// Erasure rebuilds, off the serving barrier: a decremental cover
+  /// update is unsound because the pair's new shortest path was
+  /// non-shortest before and is in no label. The hook computes the
+  /// stale-source set S = {x : d(x,u) + 1 <= H and
+  /// d_old(x,v) = d(x,u) + 1} (u included), copies the mutated graph,
+  /// and queues Build(copy) on ctx.maintenance (required) with a
+  /// single-participant pool. A pair (x,b) can change distance only if
+  /// every old shortest path used (u,v), which puts x in S; a followee
+  /// t can leave F_xb only if its own shortest paths to b all used
+  /// (u,v), and then x -> t ~> u -> v ~> b was a shortest path too,
+  /// which again puts x in S; only |F_u| changes, and u is in S. So
+  /// until the build publishes, queries from S run a BFS over the live
+  /// graph (NaiveReachability; bitwise equal, since every backend
+  /// funnels through WeightedScoreFromCount) and all others keep using
+  /// the old labels. Once it publishes, every query uses the new labels;
+  /// the next hook installs them (waiting if needed) and repoints the
+  /// index at the live graph. Save and the structure accessors below
+  /// wait for the build and describe the rebuilt labels, byte for byte
+  /// a fresh Build of the mutated graph. Copies of an index share a
+  /// pending rebuild.
   MutationResult OnGraphMutation(const MutationContext& ctx) override;
 
   /// Total number of in-label plus out-label entries (index-size metric).
   uint64_t TotalLabelEntries() const;
 
-  uint64_t NumInEntries() const { return in_entries_.size(); }
-  uint64_t NumOutEntries() const { return out_entries_.size(); }
-  uint64_t NumFolloweeIds() const { return followee_arena_.size(); }
+  uint64_t NumInEntries() const { return Settled().in_entries_.size(); }
+  uint64_t NumOutEntries() const { return Settled().out_entries_.size(); }
+  uint64_t NumFolloweeIds() const {
+    return Settled().followee_arena_.size();
+  }
 
   /// What the same labels cost in the pre-arena layout (one heap vector
   /// per out-label, one vector-of-vectors per side): per-node vector
@@ -132,30 +152,26 @@ class TwoHopIndex : public WeightedReachability {
 
   /// True when the arenas view a file mapping instead of owned heap
   /// storage.
-  bool IsMapped() const { return mapping_ != nullptr; }
+  bool IsMapped() const { return Settled().mapping_ != nullptr; }
   /// Size of the backing mapping (0 for heap-resident indexes).
   uint64_t MappedBytes() const {
-    return mapping_ ? mapping_->size() : 0;
+    const TwoHopIndex& s = Settled();
+    return s.mapping_ ? s.mapping_->size() : 0;
   }
 
   std::span<const InLabel> in_labels(NodeId v) const {
-    return in_entries_.view().subspan(
-        in_offsets_[v], in_offsets_[v + 1] - in_offsets_[v]);
+    return Settled().InLabelsOf(v);
   }
   std::span<const OutSpan> out_labels(NodeId v) const {
-    return out_entries_.view().subspan(
-        out_offsets_[v], out_offsets_[v + 1] - out_offsets_[v]);
+    return Settled().OutLabelsOf(v);
   }
   /// Global entry index of v's first out-label; add the position within
   /// out_labels(v) to address its followee span below.
-  uint64_t out_offset(NodeId v) const { return out_offsets_[v]; }
+  uint64_t out_offset(NodeId v) const { return Settled().out_offsets_[v]; }
   /// Followee ids of the out-label with GLOBAL entry index i (i.e.
   /// out_offset(v) + position within out_labels(v)).
   std::span<const NodeId> followees(uint64_t out_entry_index) const {
-    return followee_arena_.view().subspan(
-        followee_offsets_[out_entry_index],
-        followee_offsets_[out_entry_index + 1] -
-            followee_offsets_[out_entry_index]);
+    return Settled().FolloweesAt(out_entry_index);
   }
 
  private:
@@ -171,8 +187,51 @@ class TwoHopIndex : public WeightedReachability {
   /// Construction-time BFS scratch keyed by node id, shared by the
   /// backward and forward pass of every landmark (defined in the .cc).
   struct LandmarkScratch;
+  /// Per-thread query scratch (defined in the .cc).
+  struct QueryScratch;
+  /// An erase's rebuild while it is queued or running: the graph
+  /// snapshot it builds from, the stale-source set S, the live-graph
+  /// BFS backend that answers for S, and the published result.
+  struct PendingRebuild;
 
   explicit TwoHopIndex(const graph::DirectedGraph* g, uint32_t max_hops);
+
+  // Raw arena views: the query and patch paths read the labels this
+  // object holds, pending rebuild or not.
+  std::span<const InLabel> InLabelsOf(NodeId v) const {
+    return in_entries_.view().subspan(
+        in_offsets_[v], in_offsets_[v + 1] - in_offsets_[v]);
+  }
+  std::span<const OutSpan> OutLabelsOf(NodeId v) const {
+    return out_entries_.view().subspan(
+        out_offsets_[v], out_offsets_[v + 1] - out_offsets_[v]);
+  }
+  std::span<const NodeId> FolloweesAt(uint64_t i) const {
+    return followee_arena_.view().subspan(
+        followee_offsets_[i], followee_offsets_[i + 1] - followee_offsets_[i]);
+  }
+
+  /// The index whose labels describe the current graph: *this, or —
+  /// after waiting for it — the pending rebuild's result.
+  const TwoHopIndex& Settled() const {
+    return pending_ == nullptr ? *this : WaitForRebuild();
+  }
+  const TwoHopIndex& WaitForRebuild() const;
+
+  /// Where a query from source u goes while a rebuild is pending: the
+  /// published rebuild, the live-graph BFS for stale sources, or
+  /// nullptr for the labels of *this.
+  const WeightedReachability* PendingRoute(NodeId u) const;
+
+  /// Erase body of OnGraphMutation (see the contract above).
+  void ScheduleRebuild(const MutationContext& ctx);
+  /// Replaces the labels with the pending rebuild's (waiting for it) and
+  /// points the index at `live`; no-op when nothing is pending.
+  void InstallRebuild(const graph::DirectedGraph* live);
+
+  static QueryScratch& TlsQueryScratch();
+  /// |union| of the followee spans collected in `scratch`.
+  uint32_t CountSpanUnion(QueryScratch& scratch) const;
 
   void ProcessLandmarkBackward(NodeId landmark, LandmarkScratch& scratch);
   void ProcessLandmarkForward(NodeId landmark, LandmarkScratch& scratch);
@@ -194,6 +253,10 @@ class TwoHopIndex : public WeightedReachability {
   /// hub achieving it, in ascending entry order.
   uint32_t CollectMinDistanceSpans(NodeId u, NodeId v,
                                    std::vector<uint64_t>& spans) const;
+  /// CollectMinDistanceSpans for a query: also records the entries it
+  /// merges in reach.twohop.labels_scanned (the patch and stale-set
+  /// walks call CollectMinDistanceSpans and record nothing).
+  uint32_t QuerySpans(NodeId u, NodeId v, std::vector<uint64_t>& spans) const;
 
   /// Structural validation shared by every load path: offsets arrays
   /// must be monotone prefix sums covering their arenas. Content (node
@@ -227,6 +290,11 @@ class TwoHopIndex : public WeightedReachability {
   // copies of a mapped index stay valid and re-mapping the same file
   // twice yields independent lifetimes.
   std::shared_ptr<const util::MmapFile> mapping_;
+
+  // Set by an erase hook, cleared by the next hook's install. Written
+  // only inside hooks; queries read it (and the immutable parts of the
+  // rebuild it points to) concurrently with the rebuild job.
+  std::shared_ptr<PendingRebuild> pending_;
 };
 
 }  // namespace mel::reach

@@ -9,6 +9,7 @@
 #include "graph/mutation.h"
 
 namespace mel::util {
+class SerialExecutor;
 class ThreadPool;
 }  // namespace mel::util
 
@@ -71,7 +72,10 @@ inline double WeightedScore(const ReachQueryResult& r, uint32_t out_degree,
 /// contract, see docs/ARCHITECTURE.md).
 enum class MutationResult : uint8_t {
   kPatched,     ///< index updated in place (no full rebuild)
-  kRebuilt,     ///< index discarded and rebuilt from the mutated graph
+  /// index rebuilt from the mutated graph, possibly on the maintenance
+  /// thread after the hook returned; queries are exact in the meantime
+  /// (see TwoHopIndex::OnGraphMutation)
+  kRebuilt,
   kUnaffected,  ///< backend reads the live graph; nothing to do
 };
 
@@ -95,6 +99,11 @@ struct MutationContext {
   const std::vector<uint32_t>* dist_from_v = nullptr;
   /// Optional pool for backends whose rebuild path is parallel.
   util::ThreadPool* pool = nullptr;
+  /// The thread the hook runs on (ReachMaintainer's maintenance thread).
+  /// A backend may Post work here that must finish before its next hook
+  /// but not before queries resume. Required by backends that defer
+  /// work (the 2-hop cover's erase).
+  util::SerialExecutor* maintenance = nullptr;
 };
 
 /// \brief Common interface of the three weighted-reachability backends
@@ -133,7 +142,9 @@ class WeightedReachability {
   /// place, rebuild it, or return kUnaffected when they read the live
   /// graph on every query (the naive backend). Never called
   /// concurrently with queries — the caller (ReachMaintainer, or the
-  /// serving epoch barrier) provides that exclusion.
+  /// serving epoch barrier) provides that exclusion. Work a backend
+  /// defers to ctx.maintenance does run concurrently with queries, and
+  /// the backend must keep every answer exact while it is pending.
   virtual MutationResult OnGraphMutation(const MutationContext&) {
     return MutationResult::kUnaffected;
   }

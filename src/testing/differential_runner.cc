@@ -47,6 +47,7 @@ enum SeedStream : uint64_t {
   kPrunedBuildStream = 36,
   kMutationCheckStream = 37,
   kSimdKernelStream = 38,
+  kPendingProbeStream = 39,
 };
 
 struct DiffMetrics {
@@ -777,6 +778,7 @@ void CheckIncrementalMaintenance(const RandomWorkload& w,
 
   const uint32_t n = live.num_nodes();
   Rng rng(DeriveSeed(w.seed, kMutationCheckStream));
+  Rng pending_rng(DeriveSeed(w.seed, kPendingProbeStream));
   auto sample_pair = [&](graph::NodeId* u, graph::NodeId* v) {
     *u = static_cast<graph::NodeId>(rng.Uniform(n));
     const uint64_t kind = rng.Uniform(8);
@@ -832,6 +834,28 @@ void CheckIncrementalMaintenance(const RandomWorkload& w,
       rec.Check(applied.applied,
                 "mutation-noop" + at + " u=" + std::to_string(ev.u) +
                     " v=" + std::to_string(ev.v));
+      // Between an erase and the next delta the 2-hop rebuild may still
+      // be queued or running: probe the index right away, sources in
+      // the stale set (starting with u) included. A stream of its own
+      // keeps the checkpoint sampling below unchanged.
+      if (delta.op == graph::EdgeDelta::Op::kErase) {
+        for (uint32_t s = 0; s < opts.mutation_pair_samples && !rec.full();
+             ++s) {
+          const auto u = s == 0 ? ev.u : static_cast<graph::NodeId>(
+                                             pending_rng.Uniform(n));
+          const auto v = static_cast<graph::NodeId>(pending_rng.Uniform(n));
+          const std::string where = at + " u=" + std::to_string(u) +
+                                    " v=" + std::to_string(v);
+          const auto want = naive.Query(u, v);
+          const auto got = two_hop.Query(u, v);
+          rec.Check(SameQueryResult(got, want),
+                    "two-hop-pending-query-mismatch" + where + " got " +
+                        DescribeQueryResult(got) + " want " +
+                        DescribeQueryResult(want));
+          rec.Check(two_hop.ScoreOnly(u, v) == naive.ScoreOnly(u, v),
+                    "two-hop-pending-score-mismatch" + where);
+        }
+      }
     }
 
     const bool checkpoint =

@@ -67,7 +67,9 @@ struct DiffReport {
 ///    OracleLinkMention;
 ///  * incremental maintenance (only when the workload carries mutation
 ///    events) — the mutation stream is replayed through a live graph
-///    copy and reach::ReachMaintainer, and at randomized checkpoints
+///    copy and reach::ReachMaintainer, after every erase the 2-hop
+///    index is probed against the live-graph BFS before the next delta
+///    (its rebuild may still be pending), and at randomized checkpoints
 ///    every patched index is exact-checked against a from-scratch
 ///    rebuild on the mutated graph (full V^2 for the transitive
 ///    closure, sampled pairs with the live-graph BFS backend as ground

@@ -4,25 +4,32 @@
 // deletions on the 6-node diamond fixture, rejected-delta edge cases,
 // byte identity of erase rebuilds with fresh label-index builds, the
 // lazy stamped-ring retirement of the BurstTracker, a pinned
-// mutation-event stream (seed regression), and a TSan stress test racing
+// mutation-event stream (seed regression), a TSan stress test racing
 // edge mutations against pooled ScoreOnly readers under a shared lock
-// (scripts/verify.sh runs it under TSan).
+// (scripts/verify.sh runs it under TSan), the 2-hop erase rebuild held
+// pending off the barrier (stale-source set by brute force, readers
+// racing its publish and install), and the maintenance thread's FIFO
+// order and shutdown.
 
 #include "reach/reach_maintainer.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "graph/bfs.h"
 #include "graph/directed_graph.h"
 #include "graph/graph_builder.h"
 #include "graph/mutation.h"
@@ -34,7 +41,9 @@
 #include "reach/two_hop_index.h"
 #include "recency/burst_tracker.h"
 #include "testing/random_workload.h"
+#include "util/metrics.h"
 #include "util/random.h"
+#include "util/serial_executor.h"
 #include "util/thread_pool.h"
 
 namespace mel {
@@ -465,6 +474,396 @@ TEST(IncrementalConcurrency, MutationsRaceScoreOnlyReadersUnderSharedLock) {
       ASSERT_EQ(rig.naive.ScoreOnly(u, v), rig.cached.ScoreOnly(u, v));
     }
   }
+}
+
+// ------------------------------------- erase rebuild off the barrier
+
+// The two bounded BFS frontiers ReachMaintainer hands every hook, for a
+// delta already applied to g.
+struct Frontiers {
+  std::vector<uint32_t> to_u;
+  std::vector<uint32_t> from_v;
+};
+
+Frontiers ComputeFrontiers(const graph::DirectedGraph& g, graph::NodeId u,
+                           graph::NodeId v, uint32_t max_hops) {
+  Frontiers f;
+  f.to_u.assign(g.num_nodes(), reach::kUnreachableDistance);
+  f.from_v.assign(g.num_nodes(), reach::kUnreachableDistance);
+  graph::BfsScratch scratch(g.num_nodes());
+  scratch.RunBackward(g, u, max_hops);
+  for (graph::NodeId x : scratch.Touched()) f.to_u[x] = scratch.Distance(x);
+  scratch.RunForward(g, v, max_hops);
+  for (graph::NodeId x : scratch.Touched()) f.from_v[x] = scratch.Distance(x);
+  return f;
+}
+
+reach::MutationContext MakeContext(graph::EdgeDelta::Op op, graph::NodeId u,
+                                   graph::NodeId v,
+                                   const graph::DirectedGraph& g,
+                                   const Frontiers& f,
+                                   util::SerialExecutor* maintenance) {
+  reach::MutationContext ctx;
+  ctx.delta = graph::EdgeDelta{op, u, v};
+  ctx.graph = &g;
+  ctx.dist_to_u = &f.to_u;
+  ctx.dist_from_v = &f.from_v;
+  ctx.maintenance = maintenance;
+  return ctx;
+}
+
+graph::DirectedGraph RandomGraph(uint64_t seed, uint32_t nodes,
+                                 uint32_t edges) {
+  Rng rng(seed);
+  graph::GraphBuilder b(nodes);
+  for (uint32_t i = 0; i < edges; ++i) {
+    b.AddEdge(static_cast<graph::NodeId>(rng.Uniform(nodes)),
+              static_cast<graph::NodeId>(rng.Uniform(nodes)));
+  }
+  return std::move(b).Build();
+}
+
+// Blocks a SerialExecutor until Open(): work queued behind the gate stays
+// pending for as long as a test needs. Destruction opens the gate and
+// drains the executor, so a failing assertion cannot leave it blocked.
+class Gate {
+ public:
+  explicit Gate(util::SerialExecutor* exec) : exec_(exec) {
+    exec->Post([this] {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] { return open_; });
+    });
+  }
+  ~Gate() {
+    Open();
+    exec_->Drain();
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  util::SerialExecutor* exec_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+// The stale-source set S of an erased edge (u, v), from its definition:
+// S = {x : d(x,u) + 1 <= H and d_old(x,v) = d(x,u) + 1}. Distances come
+// from BFS on the graph before the erase.
+std::vector<uint8_t> StaleSources(const graph::DirectedGraph& before,
+                                  graph::NodeId u, graph::NodeId v,
+                                  uint32_t max_hops) {
+  const reach::NaiveReachability naive(&before, max_hops);
+  std::vector<uint8_t> stale(before.num_nodes(), 0);
+  for (graph::NodeId x = 0; x < before.num_nodes(); ++x) {
+    const uint32_t dxu = naive.CountQuery(x, u).distance;
+    if (dxu == reach::kUnreachableDistance || dxu + 1 > max_hops) continue;
+    if (naive.CountQuery(x, v).distance != dxu + 1) continue;
+    stale[x] = 1;
+  }
+  return stale;
+}
+
+// Brute force over seeded graphs and every hop bound: a source outside S
+// answers every target exactly as before the erase — which is what lets
+// the index keep serving it from the old labels. The index then routes
+// exactly S to the BFS fallback while the rebuild is held pending, every
+// answer is exact, and the published labels are a fresh Build's bytes.
+TEST(TwoHopPendingRebuild, SourcesOutsideStaleSetKeepEveryAnswer) {
+  metrics::Counter* fallback = metrics::Registry().GetCounter(
+      "reach.twohop.fallback_queries_total");
+  uint32_t nonempty_outside = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    for (uint32_t max_hops : {1u, 2u, 3u, 5u}) {
+      // 20-49 nodes, 40-159 edges: sparse chains through dense cores.
+      graph::DirectedGraph g = RandomGraph(
+          seed, 20 + seed % 30, static_cast<uint32_t>(40 + seed * 7 % 120));
+      const uint32_t n = g.num_nodes();
+      Rng rng(seed * 31 + max_hops);
+      graph::NodeId u = static_cast<graph::NodeId>(rng.Uniform(n));
+      while (g.OutNeighbors(u).empty()) u = (u + 1) % n;
+      const auto outs = g.OutNeighbors(u);
+      const graph::NodeId v = outs[rng.Uniform(outs.size())];
+
+      const graph::DirectedGraph before = g;
+      const reach::NaiveReachability naive_before(&before, max_hops);
+      const std::vector<uint8_t> stale = StaleSources(before, u, v, max_hops);
+      ASSERT_EQ(stale[u], 1);
+      auto index = reach::TwoHopIndex::Build(&g, max_hops);
+
+      ASSERT_TRUE(g.EraseEdge(u, v));
+      const reach::NaiveReachability naive(&g, max_hops);
+      const std::string where = "seed " + std::to_string(seed) + " H " +
+                                std::to_string(max_hops) + " erase " +
+                                std::to_string(u) + "->" +
+                                std::to_string(v);
+      uint64_t num_stale = 0;
+      for (graph::NodeId x = 0; x < n; ++x) {
+        num_stale += stale[x];
+        if (stale[x]) continue;
+        ++nonempty_outside;
+        for (graph::NodeId b = 0; b < n; ++b) {
+          const auto was = naive_before.Query(x, b);
+          const auto now = naive.Query(x, b);
+          ASSERT_EQ(now.distance, was.distance) << where << " " << x << "->"
+                                                << b;
+          ASSERT_EQ(now.followees, was.followees)
+              << where << " " << x << "->" << b;
+          ASSERT_EQ(naive.ScoreOnly(x, b), naive_before.ScoreOnly(x, b))
+              << where << " " << x << "->" << b;
+        }
+      }
+
+      util::SerialExecutor exec;
+      Gate gate(&exec);
+      const Frontiers f = ComputeFrontiers(g, u, v, max_hops);
+      ASSERT_EQ(index.OnGraphMutation(MakeContext(
+                    graph::EdgeDelta::Op::kErase, u, v, g, f, &exec)),
+                reach::MutationResult::kRebuilt);
+      const uint64_t fallback0 = fallback->Value();
+      for (graph::NodeId x = 0; x < n; ++x) {
+        for (graph::NodeId b = 0; b < n; ++b) {
+          const auto want = naive.Query(x, b);
+          const auto got = index.Query(x, b);
+          ASSERT_EQ(got.distance, want.distance) << where << " " << x
+                                                 << "->" << b;
+          ASSERT_EQ(got.followees, want.followees)
+              << where << " " << x << "->" << b;
+          ASSERT_EQ(index.CountQuery(x, b).followee_count,
+                    want.followees.size());
+          ASSERT_EQ(index.ScoreOnly(x, b), naive.ScoreOnly(x, b))
+              << where << " " << x << "->" << b;
+        }
+      }
+      // Three routed calls per pair; only sources in S fall back.
+      EXPECT_EQ(fallback->Value() - fallback0, 3 * num_stale * n) << where;
+      gate.Open();
+      const auto fresh = reach::TwoHopIndex::Build(&g, max_hops);
+      EXPECT_EQ(SaveBytes(index, "pending_hop.idx"),
+                SaveBytes(fresh, "pending_fresh.idx"))
+          << where;
+    }
+  }
+  EXPECT_GT(nonempty_outside, 0u);
+}
+
+// reach.twohop.labels_scanned samples queries only: the stale-set walk
+// of an erase, the install and the insert patch's distance walk record
+// nothing, and each query records one sample. One erase records one
+// reach.twohop.stale_sources sample.
+TEST(TwoHopPendingRebuild, EraseRecordsNoLabelScanSamples) {
+  metrics::Histogram* scanned =
+      metrics::Registry().GetHistogram("reach.twohop.labels_scanned");
+  metrics::Histogram* stale =
+      metrics::Registry().GetHistogram("reach.twohop.stale_sources");
+  graph::DirectedGraph g = RandomGraph(7, 40, 120);
+  auto index = reach::TwoHopIndex::Build(&g, kMaxHops);
+  graph::NodeId u = 0;
+  while (g.OutDegree(u) < 2) ++u;
+  const graph::NodeId v = g.OutNeighbors(u)[0];
+  const uint64_t scanned0 = scanned->GetSnapshot().count;
+  const uint64_t stale0 = stale->GetSnapshot().count;
+
+  util::SerialExecutor exec;
+  ASSERT_TRUE(g.EraseEdge(u, v));
+  const Frontiers fe = ComputeFrontiers(g, u, v, kMaxHops);
+  ASSERT_EQ(index.OnGraphMutation(MakeContext(graph::EdgeDelta::Op::kErase,
+                                              u, v, g, fe, &exec)),
+            reach::MutationResult::kRebuilt);
+  exec.Drain();
+  ASSERT_TRUE(g.InsertEdge(u, v));
+  const Frontiers fi = ComputeFrontiers(g, u, v, kMaxHops);
+  ASSERT_EQ(index.OnGraphMutation(MakeContext(graph::EdgeDelta::Op::kInsert,
+                                              u, v, g, fi, &exec)),
+            reach::MutationResult::kPatched);
+  EXPECT_EQ(scanned->GetSnapshot().count, scanned0);
+  EXPECT_EQ(stale->GetSnapshot().count, stale0 + 1);
+
+  index.Query(u, v);
+  index.CountQuery(u, v);
+  index.ScoreOnly(v, u);
+  EXPECT_EQ(scanned->GetSnapshot().count, scanned0 + 3);
+}
+
+// Readers under a shared lock race an erase whose rebuild is held
+// pending, then its publish on the maintenance thread, then the next
+// insert's install (under the exclusive lock) — every answer must match
+// the live-graph BFS throughout. scripts/verify.sh runs this under TSan.
+TEST(TwoHopPendingRebuild, ReadersStayExactThroughPendingPublishAndInstall) {
+  constexpr uint32_t kNodes = 60;
+  constexpr uint32_t kReaders = 3;
+  constexpr uint64_t kReadsPerPhase = 3000;
+  graph::DirectedGraph g = RandomGraph(99, kNodes, 180);
+  auto index = reach::TwoHopIndex::Build(&g, kMaxHops);
+  const reach::NaiveReachability naive(&g, kMaxHops);
+  graph::NodeId u = 0;
+  while (g.OutDegree(u) < 2) ++u;
+  const graph::NodeId v = g.OutNeighbors(u)[0];
+
+  std::shared_mutex mu;
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> reads{0};
+  std::atomic<uint64_t> mismatches{0};
+  util::SerialExecutor exec;
+  Gate gate(&exec);
+  {
+    std::unique_lock lock(mu);
+    ASSERT_TRUE(g.EraseEdge(u, v));
+    const Frontiers f = ComputeFrontiers(g, u, v, kMaxHops);
+    index.OnGraphMutation(
+        MakeContext(graph::EdgeDelta::Op::kErase, u, v, g, f, &exec));
+  }
+
+  std::vector<std::thread> readers;
+  for (uint32_t lane = 0; lane < kReaders; ++lane) {
+    readers.emplace_back([&, lane] {
+      Rng rng(500 + lane);
+      while (!done.load()) {
+        // Every other read starts at u, which is always stale.
+        const auto x = rng.Bernoulli(0.5)
+                           ? u
+                           : static_cast<graph::NodeId>(rng.Uniform(kNodes));
+        const auto b = static_cast<graph::NodeId>(rng.Uniform(kNodes));
+        {
+          std::shared_lock lock(mu);
+          const auto want = naive.Query(x, b);
+          const auto got = index.Query(x, b);
+          const bool ok = got.distance == want.distance &&
+                          got.followees == want.followees &&
+                          index.ScoreOnly(x, b) == naive.ScoreOnly(x, b);
+          if (!ok) mismatches.fetch_add(1);
+        }
+        reads.fetch_add(1);
+        std::this_thread::yield();
+      }
+    });
+  }
+  auto wait_reads = [&](uint64_t target) {
+    while (reads.load() < target) std::this_thread::yield();
+  };
+  metrics::Counter* fallback = metrics::Registry().GetCounter(
+      "reach.twohop.fallback_queries_total");
+  const uint64_t fallback0 = fallback->Value();
+  wait_reads(kReadsPerPhase);  // phase 1: rebuild pending
+  EXPECT_GT(fallback->Value(), fallback0);
+  gate.Open();                 // phase 2: the job builds and publishes
+  exec.Drain();
+  wait_reads(2 * kReadsPerPhase);
+  graph::NodeId a = 0, c = 1;  // phase 3: the next insert installs
+  while (g.HasEdge(a, c) || a == c) c = (c + 1) % kNodes;
+  {
+    std::unique_lock lock(mu);
+    EXPECT_TRUE(g.InsertEdge(a, c));
+    const Frontiers f = ComputeFrontiers(g, a, c, kMaxHops);
+    EXPECT_EQ(index.OnGraphMutation(MakeContext(
+                  graph::EdgeDelta::Op::kInsert, a, c, g, f, &exec)),
+              reach::MutationResult::kPatched);
+  }
+  wait_reads(3 * kReadsPerPhase);
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+}
+
+// ---------------------------------------- the maintenance thread
+
+// Logs its hooks and the work each hook defers; the deferred work sleeps
+// so a hook that did not wait for it would log first.
+class RecordingIndex : public reach::WeightedReachability {
+ public:
+  double Score(graph::NodeId, graph::NodeId) const override { return 0; }
+  reach::ReachQueryResult Query(graph::NodeId,
+                                graph::NodeId) const override {
+    return {};
+  }
+  uint64_t IndexSizeBytes() const override { return 0; }
+  const char* Name() const override { return "recording"; }
+
+  reach::MutationResult OnGraphMutation(
+      const reach::MutationContext& ctx) override {
+    Log("hook " + std::to_string(ctx.delta.u));
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      hook_threads_.push_back(std::this_thread::get_id());
+    }
+    ctx.maintenance->Post([this, u = ctx.delta.u] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      Log("job " + std::to_string(u));
+    });
+    return reach::MutationResult::kRebuilt;
+  }
+
+  std::vector<std::string> log() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return log_;
+  }
+  std::vector<std::thread::id> hook_threads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return hook_threads_;
+  }
+
+ private:
+  void Log(std::string event) {
+    std::lock_guard<std::mutex> lock(mu_);
+    log_.push_back(std::move(event));
+  }
+
+  mutable std::mutex mu_;
+  std::vector<std::string> log_;
+  std::vector<std::thread::id> hook_threads_;
+};
+
+TEST(ReachMaintainerThreading, HooksWaitForDeferredWorkInFifoOrder) {
+  graph::DirectedGraph g = MakeDiamondGraph();
+  RecordingIndex recording;
+  reach::ReachMaintainer maintainer(&g, kMaxHops);
+  maintainer.Register(&recording);
+  for (graph::NodeId u : {0u, 1u, 3u}) {
+    ASSERT_TRUE(maintainer
+                    .ApplyDelta({graph::EdgeDelta::Op::kInsert, u, 5})
+                    .applied);
+  }
+  maintainer.Drain();
+  EXPECT_EQ(recording.log(),
+            (std::vector<std::string>{"hook 0", "job 0", "hook 1", "job 1",
+                                      "hook 3", "job 3"}));
+  const auto threads = recording.hook_threads();
+  ASSERT_EQ(threads.size(), 3u);
+  EXPECT_NE(threads[0], std::this_thread::get_id());
+  EXPECT_EQ(threads[1], threads[0]);
+  EXPECT_EQ(threads[2], threads[0]);
+}
+
+// Destroying the maintainer with work still queued runs it: the deferred
+// job completes, and an erase's 2-hop rebuild lands byte-identical to a
+// fresh Build.
+TEST(ReachMaintainerThreading, DestructorRunsPendingWork) {
+  graph::DirectedGraph g = RandomGraph(17, 120, 480);
+  auto two_hop = reach::TwoHopIndex::Build(&g, kMaxHops);
+  RecordingIndex recording;
+  graph::NodeId u = 0;
+  while (g.OutNeighbors(u).empty()) ++u;
+  {
+    reach::ReachMaintainer maintainer(&g, kMaxHops);
+    maintainer.Register(&two_hop);
+    maintainer.Register(&recording);
+    ASSERT_TRUE(maintainer
+                    .ApplyDelta({graph::EdgeDelta::Op::kErase, u,
+                                 g.OutNeighbors(u)[0]})
+                    .applied);
+  }
+  EXPECT_EQ(recording.log(), (std::vector<std::string>{
+                                 "hook " + std::to_string(u),
+                                 "job " + std::to_string(u)}));
+  const auto fresh = reach::TwoHopIndex::Build(&g, kMaxHops);
+  EXPECT_EQ(SaveBytes(two_hop, "dtor_hop.idx"),
+            SaveBytes(fresh, "dtor_fresh.idx"));
 }
 
 }  // namespace

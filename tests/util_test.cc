@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <future>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -13,6 +14,7 @@
 #include "util/cpu_topology.h"
 #include "util/metrics.h"
 #include "util/random.h"
+#include "util/serial_executor.h"
 #include "util/status.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -498,6 +500,66 @@ TEST(CpuTopologyTest, HostTopologyIsSane) {
   for (size_t i = 1; i < topo.cpus.size(); ++i) {
     EXPECT_LE(topo.cpus[i - 1].socket, topo.cpus[i].socket);
   }
+}
+
+// ----------------------------------------------------- SerialExecutor
+
+// Tasks posted from several threads and from inside a task run one at a
+// time in post order; the destructor runs what is still queued.
+TEST(SerialExecutor, RunsTasksFifoOnOneThreadAndDrainsOnDestruction) {
+  std::vector<int> order;  // touched only by the executor's thread
+  std::atomic<int> running{0};
+  std::atomic<bool> overlapped{false};
+  std::thread::id first_thread;
+  bool same_thread = true;
+  {
+    util::SerialExecutor exec;
+    // Hold the thread until all 50 are queued, so the task posted from
+    // task 10 lands behind task 49.
+    std::promise<void> release;
+    exec.Post([gate = release.get_future().share()] { gate.wait(); });
+    for (int i = 0; i < 50; ++i) {
+      exec.Post([&, i] {
+        if (running.fetch_add(1) != 0) overlapped.store(true);
+        if (i == 0) first_thread = std::this_thread::get_id();
+        same_thread &= std::this_thread::get_id() == first_thread;
+        order.push_back(i);
+        if (i == 10) exec.Post([&] { order.push_back(1000); });
+        running.fetch_sub(1);
+      });
+    }
+    release.set_value();
+  }
+  ASSERT_EQ(order.size(), 51u);
+  for (int i = 0; i < 50; ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(order[50], 1000);  // posted from task 10, behind task 49
+  EXPECT_FALSE(overlapped.load());
+  EXPECT_TRUE(same_thread);
+  EXPECT_NE(first_thread, std::this_thread::get_id());
+}
+
+TEST(SerialExecutor, RunWaitsForEarlierTasksAndRethrows) {
+  util::SerialExecutor exec;
+  std::atomic<int> done{0};
+  exec.Post([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    done.fetch_add(1);
+  });
+  int seen = -1;
+  exec.Run([&] { seen = done.load(); });
+  EXPECT_EQ(seen, 1);
+  EXPECT_THROW(exec.Run([] { throw std::runtime_error("boom"); }),
+               std::runtime_error);
+  exec.Drain();  // still serving after a task threw
+  // A posted task's exception surfaces at the next Drain, once.
+  exec.Post([] { throw std::runtime_error("posted"); });
+  EXPECT_THROW(exec.Drain(), std::runtime_error);
+  exec.Drain();
+}
+
+// An executor that is never used starts no thread.
+TEST(SerialExecutor, UnusedExecutorDestroysCleanly) {
+  util::SerialExecutor exec;
 }
 
 }  // namespace
