@@ -35,6 +35,7 @@ struct TwoHopMetrics {
   metrics::Counter* build_label_scans;
   metrics::Histogram* stale_sources;
   metrics::Counter* fallback_queries;
+  metrics::Histogram* insert_patch_edits;
 };
 
 const TwoHopMetrics& GetTwoHopMetrics() {
@@ -50,6 +51,8 @@ const TwoHopMetrics& GetTwoHopMetrics() {
     hm.stale_sources = reg.GetHistogram("reach.twohop.stale_sources");
     hm.fallback_queries =
         reg.GetCounter("reach.twohop.fallback_queries_total");
+    hm.insert_patch_edits =
+        reg.GetHistogram("reach.twohop.insert_patch_edits");
     return hm;
   }();
   return m;
@@ -611,10 +614,11 @@ void TwoHopIndex::ScheduleRebuild(const MutationContext& ctx) {
   // pre-erase graph.
   std::vector<uint8_t>& stale = pending->stale;
   stale.assign(n, 0);
-  std::vector<uint64_t> span_scratch;
+  HubTable to_v(*this);
+  to_v.ScatterTo(v);
   for (NodeId x = 0; x < n; ++x) {
     if (x == v || to_u[x] >= max_hops_) continue;  // kInf included
-    stale[x] = CollectMinDistanceSpans(x, v, span_scratch) == to_u[x] + 1;
+    stale[x] = to_v.Distance(x) == to_u[x] + 1;
   }
   if (metrics::Enabled()) {
     g_twohop_metrics.stale_sources->Record(static_cast<uint64_t>(
@@ -639,6 +643,72 @@ void TwoHopIndex::ScheduleRebuild(const MutationContext& ctx) {
   ctx.maintenance->Post(std::move(job));
 }
 
+TwoHopIndex::HubTable::HubTable(const TwoHopIndex& index)
+    : index_(index), dist_(index.g_->num_nodes(), kInf) {}
+
+void TwoHopIndex::HubTable::ScatterFrom(NodeId s) { Scatter(s, true); }
+void TwoHopIndex::HubTable::ScatterTo(NodeId t) { Scatter(t, false); }
+
+void TwoHopIndex::HubTable::Scatter(NodeId center, bool from) {
+  for (NodeId w : hubs_) dist_[w] = kInf;
+  hubs_.clear();
+  auto set = [&](NodeId w, uint32_t d) {
+    dist_[w] = d;
+    hubs_.push_back(w);
+  };
+  if (from) {
+    for (const OutSpan& l : index_.OutLabelsOf(center)) set(l.node, l.dist);
+  } else {
+    for (const InLabel& l : index_.InLabelsOf(center)) set(l.node, l.dist);
+  }
+  // The center as a hub: met by an entry for it in x's list (the
+  // degenerate w = s of a (s, x) pair, or w = t of (x, t)).
+  set(center, 0);
+  center_ = center;
+  from_ = from;
+}
+
+uint32_t TwoHopIndex::HubTable::Distance(NodeId x) const {
+  // x as a hub of the center's list is the other degenerate hub; the
+  // center has no entry for itself, so for x == center there is none.
+  uint64_t d = x == center_ ? kInf : dist_[x];
+  auto scan = [&](auto labels) {
+    for (const auto& l : labels) {
+      d = std::min(d, uint64_t{l.dist} + dist_[l.node]);
+    }
+  };
+  if (from_) {
+    scan(index_.InLabelsOf(x));
+  } else {
+    scan(index_.OutLabelsOf(x));
+  }
+  return d > index_.max_hops_ ? kInf : static_cast<uint32_t>(d);
+}
+
+/// An out-label the insert patch writes instead of copying: on node
+/// `owner`, it replaces old entry `entry` or, when `insert`, goes in
+/// before it. Its followees are
+/// edit_followees[followee_begin .. followee_end).
+struct TwoHopIndex::OutEdit {
+  NodeId owner;
+  uint64_t entry;
+  bool insert;
+  OutSpan label;
+  uint64_t followee_begin;
+  uint64_t followee_end;
+};
+
+namespace {
+
+// d(s, u) + 1 + d(v, t): the length of s ~> u -> v ~> t, kInf past H.
+uint32_t ThroughEdge(uint32_t s_to_u, uint32_t v_to_t, uint32_t max_hops) {
+  if (s_to_u == kInf || v_to_t == kInf) return kInf;
+  const uint32_t c = s_to_u + 1 + v_to_t;
+  return c > max_hops ? kInf : c;
+}
+
+}  // namespace
+
 void TwoHopIndex::PatchInsertedEdge(const MutationContext& ctx) {
   const NodeId u = ctx.delta.u;
   const NodeId v = ctx.delta.v;
@@ -648,133 +718,209 @@ void TwoHopIndex::PatchInsertedEdge(const MutationContext& ctx) {
   const std::vector<uint32_t>& to_u = *ctx.dist_to_u;      // d(a, u)
   const std::vector<uint32_t>& from_v = *ctx.dist_from_v;  // d(v, b)
   const uint32_t n = g_->num_nodes();
+  auto through = [&](NodeId s, NodeId t) {
+    return ThroughEdge(to_u[s], from_v[t], max_hops_);
+  };
 
-  // Unpack the arenas into the per-node build vectors. The arena members
-  // stay untouched until FinalizeArenas, so label queries against *this
-  // keep answering with PRE-insert distances — the Q_old oracle the
-  // closed form needs.
-  build_in_labels_.assign(n, {});
-  build_out_labels_.assign(n, {});
-  for (NodeId x = 0; x < n; ++x) {
-    const auto ins = InLabelsOf(x);
-    build_in_labels_[x].assign(ins.begin(), ins.end());
-    const auto outs = OutLabelsOf(x);
-    auto& bo = build_out_labels_[x];
-    bo.reserve(outs.size());
-    for (size_t i = 0; i < outs.size(); ++i) {
-      const auto f = FolloweesAt(out_offsets_[x] + i);
-      bo.push_back(BuildOutLabel{outs[i].node, outs[i].dist,
-                                 {f.begin(), f.end()}});
-    }
+  // Every distance below reads the arenas, which still describe the
+  // pre-insert graph: the Q_old oracle the closed form needs.
+  HubTable table(*this);
+
+  // In-label (u -> b) upsert distances, from one scatter of L_out(u).
+  // Guarded by the hop bound: 1 + from_v[b] can reach H + 1.
+  std::vector<uint32_t> in_hub_u(n, kInf);
+  table.ScatterFrom(u);
+  for (NodeId b = 0; b < n; ++b) {
+    if (b == u || from_v[b] == kInf) continue;
+    const uint32_t through_b =
+        from_v[b] + 1 > max_hops_ ? kInf : from_v[b] + 1;
+    in_hub_u[b] = std::min(table.Distance(b), through_b);
   }
 
-  std::vector<uint64_t> span_scratch;
-  auto old_dist = [&](NodeId s, NodeId t) -> uint32_t {
-    return s == t ? 0 : CollectMinDistanceSpans(s, t, span_scratch);
-  };
-  auto through = [&](NodeId s, NodeId t) -> uint32_t {
-    if (to_u[s] == kInf || from_v[t] == kInf) return kInf;
-    const uint32_t c = to_u[s] + 1 + from_v[t];
-    return c > max_hops_ ? kInf : c;
-  };
-  auto new_dist = [&](NodeId s, NodeId t) -> uint32_t {
-    return std::min(old_dist(s, t), through(s, t));
-  };
-  // Theorem-1 followee set of the patched label (s, hub): followees at
-  // new distance dnew - 1 from the hub.
-  auto exact_followees = [&](NodeId s, NodeId hub, uint32_t dnew) {
-    std::vector<NodeId> f;
-    for (NodeId t : g_->OutNeighbors(s)) {
-      const uint32_t dt = new_dist(t, hub);
-      if (dt != kInf && dt + 1 == dnew) f.push_back(t);
-    }
-    return f;  // OutNeighbors is sorted, so f is too
-  };
-
-  // (a) Fix existing out-labels (s, h, d, F) that the edge can affect:
-  // s reaches u, v reaches h, and the through-edge candidate is <= d. A
-  // candidate of exactly d leaves the distance alone but can add tied
-  // shortest paths, so F is recomputed for it as well; a candidate of
-  // d + 1 or more cannot even touch F (every followee's through-edge
-  // distance is >= candidate - 1 >= d).
+  // Out-label edits in entry order. Every node s reaching u gets one
+  // upsert: (s, u, d(s, u)) with the first hops toward u as followees
+  // (all within the BFS bound, since to_u[t] = to_u[s] - 1 <= H - 1), or
+  // for u itself the edge (u, v, 1, {v}). An upsert overrides the closed
+  // form fix of the label it replaces. The other labels (s, h, d, F) of
+  // s are fixed when the through-edge candidate is <= d: a candidate of
+  // exactly d leaves the distance alone but can add tied shortest
+  // paths, so F is recomputed for it as well; a candidate of d + 1 or
+  // more cannot even touch F (every followee's through-edge distance is
+  // >= candidate - 1 >= d). The fixed F is the Theorem-1 followee set:
+  // followees at new distance d' - 1 from the hub.
+  std::vector<OutEdit> edits;
+  std::vector<NodeId> edit_followees;
   for (NodeId s = 0; s < n; ++s) {
     if (to_u[s] == kInf) continue;
-    for (BuildOutLabel& label : build_out_labels_[s]) {
-      const uint32_t cand = through(s, label.node);
-      if (cand > label.dist) continue;  // kInf compares greater too
-      label.dist = std::min(label.dist, cand);
-      label.followees = exact_followees(s, label.node, label.dist);
+    const OutSpan upsert = s == u ? OutSpan{v, 1} : OutSpan{u, to_u[s]};
+    const auto outs = OutLabelsOf(s);
+    const size_t pos = static_cast<size_t>(
+        std::lower_bound(
+            outs.begin(), outs.end(), upsert.node,
+            [](const OutSpan& o, NodeId x) { return o.node < x; }) -
+        outs.begin());
+    const bool replaces = pos < outs.size() && outs[pos].node == upsert.node;
+    const uint64_t base = out_offsets_[s];
+    for (size_t i = 0; i <= outs.size(); ++i) {
+      if (i == pos) {
+        edits.push_back(OutEdit{s, base + i, !replaces, upsert,
+                                edit_followees.size(), 0});
+        if (s == u) {
+          edit_followees.push_back(v);
+        } else {
+          for (NodeId t : g_->OutNeighbors(s)) {
+            if (to_u[t] != kInf && to_u[t] + 1 == to_u[s]) {
+              edit_followees.push_back(t);
+            }
+          }
+        }
+        edits.back().followee_end = edit_followees.size();
+        if (replaces) continue;
+      }
+      if (i == outs.size()) break;
+      const NodeId hub = outs[i].node;
+      const uint32_t cand = through(s, hub);
+      if (cand > outs[i].dist) continue;  // kInf compares greater too
+      const uint32_t dnew = std::min(outs[i].dist, cand);
+      edits.push_back(OutEdit{s, base + i, false, OutSpan{hub, dnew},
+                              edit_followees.size(), 0});
+      table.ScatterTo(hub);
+      for (NodeId t : g_->OutNeighbors(s)) {  // sorted, so F is too
+        const uint32_t dt =
+            std::min(t == hub ? 0 : table.Distance(t), through(t, hub));
+        if (dt != kInf && dt + 1 == dnew) edit_followees.push_back(t);
+      }
+      edits.back().followee_end = edit_followees.size();
     }
   }
 
-  // (b) Fix existing in-labels (h, d) of t: h reaches u, v reaches t.
-  for (NodeId t = 0; t < n; ++t) {
-    if (from_v[t] == kInf) continue;
-    for (InLabel& label : build_in_labels_[t]) {
-      const uint32_t cand = through(label.node, t);
-      if (cand < label.dist) label.dist = cand;
-    }
+  const uint64_t written = MergePatch(ctx, edits, edit_followees, in_hub_u);
+  if (metrics::Enabled()) {
+    g_twohop_metrics.insert_patch_edits->Record(written);
   }
+}
 
-  // (c) Restore the cover for pairs routing through the new edge by
-  // injecting hub u across the affected region (upserts keep the
-  // by-hub-node sort order).
-  auto upsert_out = [&](NodeId owner, NodeId hub, uint32_t dist,
-                        std::vector<NodeId> f) {
-    auto& outs = build_out_labels_[owner];
-    auto it = std::lower_bound(
-        outs.begin(), outs.end(), hub,
-        [](const BuildOutLabel& l, NodeId x) { return l.node < x; });
-    if (it != outs.end() && it->node == hub) {
-      it->dist = dist;
-      it->followees = std::move(f);
-    } else {
-      outs.insert(it, BuildOutLabel{hub, dist, std::move(f)});
-    }
-  };
-  auto upsert_in = [&](NodeId owner, NodeId hub, uint32_t dist) {
-    auto& ins = build_in_labels_[owner];
-    auto it = std::lower_bound(
-        ins.begin(), ins.end(), hub,
-        [](const InLabel& l, NodeId x) { return l.node < x; });
-    if (it != ins.end() && it->node == hub) {
-      it->dist = std::min(it->dist, dist);
-    } else {
-      ins.insert(it, InLabel{hub, dist});
-    }
-  };
+uint64_t TwoHopIndex::MergePatch(const MutationContext& ctx,
+                                 const std::vector<OutEdit>& edits,
+                                 const std::vector<NodeId>& edit_followees,
+                                 const std::vector<uint32_t>& in_hub_u) {
+  const NodeId u = ctx.delta.u;
+  const NodeId v = ctx.delta.v;
+  const std::vector<uint32_t>& to_u = *ctx.dist_to_u;
+  const std::vector<uint32_t>& from_v = *ctx.dist_from_v;
+  const uint32_t n = g_->num_nodes();
+  uint64_t written = 0;
 
-  // Out-label (a, u) on every node reaching u: d(a, u) is unchanged and
-  // its followees are the first hops toward u (all within the BFS
-  // bound, since to_u[t] = to_u[a] - 1 <= H - 1).
-  for (NodeId a = 0; a < n; ++a) {
-    if (a == u || to_u[a] == kInf) continue;
-    std::vector<NodeId> f;
-    for (NodeId t : g_->OutNeighbors(a)) {
-      if (to_u[t] != kInf && to_u[t] + 1 == to_u[a]) f.push_back(t);
-    }
-    upsert_out(a, u, to_u[a], std::move(f));
-  }
-  // The edge itself: d(u, v) = 1 with F = {v}.
-  upsert_out(u, v, 1, {v});
+  // In-labels, node by node. A node that v does not reach keeps its
+  // labels verbatim. Every other node b has each (h, d) fixed to
+  // min(d, d(h, u) + 1 + d(v, b)) and gains hub u (min with the fixed
+  // distance when it already has one) and hub v (b != v; a (u, b) pair
+  // meets it at the (u, v, 1, {v}) out-label), in hub order.
+  std::vector<uint64_t> in_offsets(n + 1);
+  std::vector<InLabel> in_entries;
+  in_entries.reserve(in_entries_.size() + 2 * uint64_t{n});
   for (NodeId b = 0; b < n; ++b) {
-    if (from_v[b] == kInf) continue;
-    // In-label (u -> b) meets the (a, u) out-labels above. Guarded by
-    // the hop bound: 1 + from_v[b] can reach H + 1.
-    if (b != u) {
-      const uint32_t through_b =
-          from_v[b] + 1 > max_hops_ ? kInf : from_v[b] + 1;
-      const uint32_t dub = std::min(old_dist(u, b), through_b);
-      if (dub <= max_hops_) upsert_in(b, u, dub);
+    in_offsets[b] = in_entries.size();
+    const auto ins = InLabelsOf(b);
+    if (from_v[b] == kInf) {
+      in_entries.insert(in_entries.end(), ins.begin(), ins.end());
+      continue;
     }
-    // In-label (v -> b) meets the (u, v, 1, {v}) out-label: the
-    // degenerate source-hub u in L_in(b) carries no followee span, so
-    // pairs (u, b) need hub v to contribute F = {v}.
-    if (b != v) upsert_in(b, v, from_v[b]);
+    InLabel upserts[2];
+    size_t num_upserts = 0;
+    if (in_hub_u[b] <= max_hops_) upserts[num_upserts++] = {u, in_hub_u[b]};
+    if (b != v) upserts[num_upserts++] = {v, from_v[b]};
+    if (num_upserts == 2 && v < u) std::swap(upserts[0], upserts[1]);
+    size_t k = 0;
+    for (const InLabel& label : ins) {
+      for (; k < num_upserts && upserts[k].node < label.node; ++k) {
+        in_entries.push_back(upserts[k]);
+        ++written;
+      }
+      uint32_t d = std::min(label.dist,
+                            ThroughEdge(to_u[label.node], from_v[b],
+                                        max_hops_));
+      bool upserted = false;
+      if (k < num_upserts && upserts[k].node == label.node) {
+        d = std::min(d, upserts[k++].dist);
+        upserted = true;
+      }
+      in_entries.push_back(InLabel{label.node, d});
+      written += upserted || d != label.dist;
+    }
+    for (; k < num_upserts; ++k) {
+      in_entries.push_back(upserts[k]);
+      ++written;
+    }
   }
+  in_offsets[n] = in_entries.size();
 
-  FinalizeArenas();
+  // Out-labels in global entry order: the runs between edits are copied
+  // in bulk, their followee offsets rebased onto the new arena.
+  const auto old_outs = out_entries_.view();
+  const auto old_starts = followee_offsets_.view();
+  const auto old_followees = followee_arena_.view();
+  std::vector<uint64_t> out_offsets(n + 1);
+  uint64_t inserted = 0;
+  uint64_t followee_total = old_followees.size() + edit_followees.size();
+  {
+    size_t e = 0;
+    for (NodeId s = 0; s <= n; ++s) {
+      for (; e < edits.size() && edits[e].owner < s; ++e) {
+        const OutEdit& edit = edits[e];
+        inserted += edit.insert;
+        if (!edit.insert) {
+          followee_total -=
+              old_starts[edit.entry + 1] - old_starts[edit.entry];
+        }
+      }
+      out_offsets[s] = out_offsets_[s] + inserted;
+    }
+  }
+  std::vector<OutSpan> out_entries;
+  std::vector<uint64_t> followee_offsets;
+  std::vector<NodeId> followee_arena;
+  out_entries.reserve(old_outs.size() + inserted);
+  followee_offsets.reserve(old_outs.size() + inserted + 1);
+  followee_arena.reserve(followee_total);
+  uint64_t next = 0;  // first old entry not yet written
+  auto copy_run = [&](uint64_t end) {
+    if (next == end) return;
+    out_entries.insert(out_entries.end(), old_outs.begin() + next,
+                       old_outs.begin() + end);
+    const uint64_t first = old_starts[next];
+    const uint64_t base = followee_arena.size();
+    for (uint64_t i = next; i < end; ++i) {
+      followee_offsets.push_back(old_starts[i] - first + base);
+    }
+    followee_arena.insert(followee_arena.end(), old_followees.begin() + first,
+                          old_followees.begin() + old_starts[end]);
+    next = end;
+  };
+  for (const OutEdit& edit : edits) {
+    copy_run(edit.entry);
+    out_entries.push_back(edit.label);
+    followee_offsets.push_back(followee_arena.size());
+    followee_arena.insert(
+        followee_arena.end(),
+        edit_followees.begin() + static_cast<ptrdiff_t>(edit.followee_begin),
+        edit_followees.begin() + static_cast<ptrdiff_t>(edit.followee_end));
+    if (!edit.insert) ++next;
+  }
+  copy_run(old_outs.size());
+  followee_offsets.push_back(followee_arena.size());
+  written += edits.size();
+
+  in_offsets_.Own(std::move(in_offsets));
+  in_entries_.Own(std::move(in_entries));
+  out_offsets_.Own(std::move(out_offsets));
+  out_entries_.Own(std::move(out_entries));
+  followee_offsets_.Own(std::move(followee_offsets));
+  followee_arena_.Own(std::move(followee_arena));
   mapping_.reset();
+  PublishArenaMetrics();
+  PublishMmapLoadMetrics(kLoadModeBuilt, 0, util::MmapFile::Advice::kNormal);
+  return written;
 }
 
 namespace {

@@ -75,16 +75,21 @@ class TwoHopIndex : public WeightedReachability {
 
   /// \brief Mutate-or-invalidate contract.
   ///
-  /// Insertion of (u, v) patches the labels in place: existing labels
-  /// whose distance can route through the new edge are fixed with the
-  /// closed form d' = min(d, d(s,u) + 1 + d(v,h)) and their followee
-  /// sets recomputed, then hub u (and hub v for the (u, b) pairs, whose
-  /// degenerate source-hub carries no followee span) is injected on the
-  /// affected region so every pair routing through the edge keeps a
-  /// minimum-distance meeting hub. The patched index can carry MORE
+  /// Insertion of (u, v) is patched as an edit list merged into fresh
+  /// arenas. First the edits are collected against the untouched
+  /// pre-insert labels: existing out-labels whose distance can route
+  /// through the new edge get the closed form
+  /// d' = min(d, d(s,u) + 1 + d(v,h)) and a recomputed followee set,
+  /// and hub u (and hub v for the (u, b) pairs, whose degenerate
+  /// source-hub carries no followee span) is upserted on the affected
+  /// region so every pair routing through the edge keeps a
+  /// minimum-distance meeting hub. Then one pass writes new arenas in
+  /// node order, copying untouched runs in bulk and applying the
+  /// in-label closed form as it goes. The current arenas are never
+  /// written (they may view a read-only mapping), so a mapped index
+  /// becomes heap-owned when patched. The patched index can carry MORE
   /// labels than a fresh build — equality with a rebuild holds on query
-  /// results, not on label structure. A mapped index becomes heap-owned
-  /// when patched.
+  /// results, not on label structure.
   ///
   /// Erasure rebuilds, off the serving barrier: a decremental cover
   /// update is unsound because the pair's new shortest path was
@@ -187,6 +192,9 @@ class TwoHopIndex : public WeightedReachability {
   /// Construction-time BFS scratch keyed by node id, shared by the
   /// backward and forward pass of every landmark (defined in the .cc).
   struct LandmarkScratch;
+  /// An out-label the insert patch writes instead of copying (defined in
+  /// the .cc).
+  struct OutEdit;
   /// Per-thread query scratch (defined in the .cc).
   struct QueryScratch;
   /// An erase's rebuild while it is queued or running: the graph
@@ -236,12 +244,46 @@ class TwoHopIndex : public WeightedReachability {
   void ProcessLandmarkBackward(NodeId landmark, LandmarkScratch& scratch);
   void ProcessLandmarkForward(NodeId landmark, LandmarkScratch& scratch);
 
-  /// Insert-patch body of OnGraphMutation: the graph already contains
-  /// the edge, the arenas still predate it (they serve as the
-  /// old-distance oracle until the patched labels are re-finalized).
-  void PatchInsertedEdge(const MutationContext& ctx);
+  /// Distance-only lookups against one node's labels, scattered once
+  /// into a node-indexed table. After ScatterFrom(s), Distance(x) is the
+  /// label distance d(s, x); after ScatterTo(t), it is d(x, t). Either
+  /// way one lookup scans only x's own label list on the other side. It
+  /// meets the same hubs as CollectMinDistanceSpans, the degenerate
+  /// w = s and w = t ones included, and applies the same > H cut, so it
+  /// returns the same dmin, s == t included.
+  class HubTable {
+   public:
+    explicit HubTable(const TwoHopIndex& index);
+    void ScatterFrom(NodeId s);
+    void ScatterTo(NodeId t);
+    uint32_t Distance(NodeId x) const;
 
-  /// Flattens the per-node build vectors onto the arenas (node order,
+   private:
+    void Scatter(NodeId center, bool from);
+
+    const TwoHopIndex& index_;
+    NodeId center_ = 0;
+    bool from_ = true;
+    std::vector<uint32_t> dist_;  // kUnreachableDistance off the hubs
+    std::vector<NodeId> hubs_;    // the entries Scatter set
+  };
+  friend struct TwoHopIndexPeer;  // tests: HubTable against the spans
+
+  /// Insert-patch body of OnGraphMutation: the graph already contains
+  /// the edge, the arenas still predate it and serve as the old-distance
+  /// oracle while the edits are collected; the merge then replaces them.
+  void PatchInsertedEdge(const MutationContext& ctx);
+  /// Writes fresh arenas: the current ones with `edits` (sorted by
+  /// entry) applied to the out-labels, and the in-label closed form plus
+  /// the hub-u (distance `in_hub_u[b]`, kUnreachableDistance for none)
+  /// and hub-v upserts applied to the in-labels. Returns the number of
+  /// entries it wrote other than by copying.
+  uint64_t MergePatch(const MutationContext& ctx,
+                      const std::vector<OutEdit>& edits,
+                      const std::vector<NodeId>& edit_followees,
+                      const std::vector<uint32_t>& in_hub_u);
+
+  /// Flattens Build's per-node vectors onto the arenas (node order,
   /// deterministic) and releases the construction scratch.
   void FinalizeArenas();
 
@@ -254,8 +296,8 @@ class TwoHopIndex : public WeightedReachability {
   uint32_t CollectMinDistanceSpans(NodeId u, NodeId v,
                                    std::vector<uint64_t>& spans) const;
   /// CollectMinDistanceSpans for a query: also records the entries it
-  /// merges in reach.twohop.labels_scanned (the patch and stale-set
-  /// walks call CollectMinDistanceSpans and record nothing).
+  /// merges in reach.twohop.labels_scanned (the insert patch and the
+  /// erase stale set read distances from a HubTable and record nothing).
   uint32_t QuerySpans(NodeId u, NodeId v, std::vector<uint64_t>& spans) const;
 
   /// Structural validation shared by every load path: offsets arrays
@@ -271,7 +313,8 @@ class TwoHopIndex : public WeightedReachability {
   const graph::DirectedGraph* g_;
   uint32_t max_hops_;
 
-  // Construction scratch; empty after FinalizeArenas / in loaded indexes.
+  // Build's construction scratch; empty once Build returns and in loaded
+  // indexes.
   std::vector<std::vector<InLabel>> build_in_labels_;
   std::vector<std::vector<BuildOutLabel>> build_out_labels_;
 

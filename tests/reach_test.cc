@@ -14,6 +14,7 @@
 #include "reach/naive_reachability.h"
 #include "reach/pruned_online_search.h"
 #include "reach/reach_cache.h"
+#include "reach/reach_maintainer.h"
 #include "reach/transitive_closure.h"
 #include "reach/two_hop_index.h"
 #include "util/metrics.h"
@@ -812,8 +813,9 @@ TEST(ParallelBuildTest, TwoHopMatchesSerialOnRandomGraphs) {
 
 // 64-bit FNV-1a over the Save bytes: independent of the container's own
 // block checksum, so a change to either shows up here.
-uint64_t Fnv1a64(const std::string& bytes) {
-  uint64_t h = 0xcbf29ce484222325ull;
+// Passing an earlier digest as `h` continues it over more bytes.
+uint64_t Fnv1a64(const std::string& bytes,
+                 uint64_t h = 0xcbf29ce484222325ull) {
   for (unsigned char c : bytes) {
     h ^= c;
     h *= 0x100000001b3ull;
@@ -828,23 +830,36 @@ struct GoldenCase {
   uint32_t max_hops;
   uint64_t two_hop_digest;
   uint64_t dli_digest;
+  uint64_t two_hop_insert_digest;  // see TwoHopInsertPatchMatchesPinnedDigests
 };
 
 // Digests of the labels the per-edge construction (one label query per
 // BFS edge) wrote. The per-node construction must reproduce every byte:
 // it skips queries whose answer is already decided, it never changes
 // one. The dense shape exercises the equal-distance followee-append
-// branch; H = 1 pins the no-enqueue edge case.
+// branch; H = 1 pins the no-enqueue edge case. The insert digests were
+// written by the insert patch that unpacked every label into per-node
+// vectors and re-flattened them all; the edit-list merge must reproduce
+// them byte for byte.
 constexpr GoldenCase kGoldenCases[] = {
-    {80, 2.5, 501, 1, 0x94c34bca40b1b7b6ull, 0x482fa8e2117ffcbull},
-    {80, 2.5, 501, 3, 0x2de47d90595a6434ull, 0x6df6340191d40d55ull},
-    {80, 2.5, 501, 5, 0xbdd51f97f4029841ull, 0x8e6abb8d5b3dec09ull},
-    {50, 6.0, 502, 1, 0x5627b98a735d1402ull, 0x6ae0446805905d7eull},
-    {50, 6.0, 502, 3, 0xbf0c972fba305386ull, 0x59d17181f6c57fb2ull},
-    {50, 6.0, 502, 5, 0x7f15d16821d4f450ull, 0x81f221f8cca98f6bull},
-    {120, 3.5, 503, 1, 0xc3b7206facb6369cull, 0x76178cd5e0b8f1deull},
-    {120, 3.5, 503, 3, 0x2262c830daa7c0ddull, 0x6617917e77414095ull},
-    {120, 3.5, 503, 5, 0x4b8a18b8825ace4dull, 0x68b3107cb9745850ull},
+    {80, 2.5, 501, 1, 0x94c34bca40b1b7b6ull, 0x482fa8e2117ffcbull,
+     0x1cb8db383589f899ull},
+    {80, 2.5, 501, 3, 0x2de47d90595a6434ull, 0x6df6340191d40d55ull,
+     0xd1615b855ddd96bdull},
+    {80, 2.5, 501, 5, 0xbdd51f97f4029841ull, 0x8e6abb8d5b3dec09ull,
+     0x67486b3dfb9afcfdull},
+    {50, 6.0, 502, 1, 0x5627b98a735d1402ull, 0x6ae0446805905d7eull,
+     0x9df043597dc5f8dcull},
+    {50, 6.0, 502, 3, 0xbf0c972fba305386ull, 0x59d17181f6c57fb2ull,
+     0x0d7d2c48814b8609ull},
+    {50, 6.0, 502, 5, 0x7f15d16821d4f450ull, 0x81f221f8cca98f6bull,
+     0x00632dac371a2dc8ull},
+    {120, 3.5, 503, 1, 0xc3b7206facb6369cull, 0x76178cd5e0b8f1deull,
+     0x6801622935461823ull},
+    {120, 3.5, 503, 3, 0x2262c830daa7c0ddull, 0x6617917e77414095ull,
+     0xd145195cc3015680ull},
+    {120, 3.5, 503, 5, 0x4b8a18b8825ace4dull, 0x68b3107cb9745850ull,
+     0x3ccb6ca868eff9eeull},
 };
 
 TEST(GoldenLabelBytesTest, TwoHopBuildMatchesPinnedDigests) {
@@ -885,6 +900,142 @@ TEST(GoldenLabelBytesTest, DistanceLabelBuildMatchesPinnedDigests) {
         << "seed " << c.seed << " H " << c.max_hops << std::hex
         << " digest 0x" << Fnv1a64(bytes);
   }
+}
+
+// Seeded inserts of new edges through a maintainer, so each one is
+// patched into the labels (an erase rebuilds instead; its bytes are
+// pinned against a fresh Build elsewhere). The digest runs FNV over the
+// Save bytes after every insert, so each intermediate label set is
+// pinned, not only the last. A mapped start must patch to the same
+// bytes as a built one: e2ebench serves a mapped index.
+constexpr int kGoldenInserts = 20;
+
+// `tag` keeps the temp files of tests run in parallel apart.
+uint64_t InsertPatchDigest(const GoldenCase& c, bool mapped,
+                           const std::string& tag) {
+  DirectedGraph g = RandomGraph(c.nodes, c.avg_degree, c.seed);
+  auto index = TwoHopIndex::Build(&g, c.max_hops);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / (tag + "_start.idx"))
+          .string();
+  if (mapped) {
+    EXPECT_TRUE(index.Save(path).ok());
+    auto loaded = TwoHopIndex::LoadMapped(path, &g);
+    EXPECT_TRUE(loaded.ok());
+    index = std::move(loaded).value();
+    EXPECT_TRUE(index.IsMapped());
+  }
+  ReachMaintainer maintainer(&g, c.max_hops);
+  maintainer.Register(&index);
+  Rng rng(c.seed * 31 + c.max_hops);
+  uint64_t digest = 0xcbf29ce484222325ull;
+  for (int applied = 0; applied < kGoldenInserts;) {
+    const graph::EdgeDelta delta{
+        graph::EdgeDelta::Op::kInsert,
+        static_cast<graph::NodeId>(rng.Uniform(c.nodes)),
+        static_cast<graph::NodeId>(rng.Uniform(c.nodes))};
+    if (!maintainer.ApplyDelta(delta).applied) continue;
+    ++applied;
+    EXPECT_FALSE(index.IsMapped());
+    digest = Fnv1a64(SaveToTempBytes(tag + "_step.idx",
+                                     [&](const auto& p) {
+                                       return index.Save(p);
+                                     }),
+                     digest);
+  }
+  std::remove(path.c_str());
+  return digest;
+}
+
+TEST(GoldenLabelBytesTest, TwoHopInsertPatchMatchesPinnedDigests) {
+  for (const GoldenCase& c : kGoldenCases) {
+    for (bool mapped : {false, true}) {
+      const uint64_t digest = InsertPatchDigest(c, mapped, "hop_insert");
+      EXPECT_EQ(digest, c.two_hop_insert_digest)
+          << "seed " << c.seed << " H " << c.max_hops << " mapped "
+          << mapped << std::hex << " digest 0x" << digest;
+    }
+  }
+}
+
+// The patch's work is deterministic, so it is pinned exactly: the label
+// entries the inserts on the largest H = 5 case wrote other than by
+// copying. Any change to what the patch rewrites moves the figure.
+TEST(GoldenLabelBytesTest, TwoHopInsertPatchEditsArePinned) {
+  metrics::Histogram* edits =
+      metrics::Registry().GetHistogram("reach.twohop.insert_patch_edits");
+  const auto before = edits->GetSnapshot();
+  InsertPatchDigest(kGoldenCases[8], /*mapped=*/false, "hop_edits");
+  const auto after = edits->GetSnapshot();
+  EXPECT_EQ(after.count - before.count, uint64_t{kGoldenInserts});
+  EXPECT_EQ(after.sum - before.sum, 7508u);
+}
+
+}  // namespace
+
+// Reaches the private span walk and hub table (a friend of TwoHopIndex).
+struct TwoHopIndexPeer {
+  using HubTable = TwoHopIndex::HubTable;
+  static uint32_t SpanDistance(const TwoHopIndex& index, graph::NodeId s,
+                               graph::NodeId t) {
+    std::vector<uint64_t> spans;
+    return index.CollectMinDistanceSpans(s, t, spans);
+  }
+};
+
+namespace {
+
+// The insert patch and the erase stale-set read distances from a hub
+// table instead of collecting spans; both must agree on every pair, in
+// both scatter directions: s == t (a cycle through a hub, not 0),
+// unreachable pairs, and labels a patch added as well as built ones.
+TEST(TwoHopHubTableTest, MatchesCollectMinDistanceSpansInBothDirections) {
+  uint64_t same = 0, unreachable = 0, reachable = 0;
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    for (uint32_t max_hops : {1u, 2u, 3u, 5u}) {
+      DirectedGraph g = RandomGraph(40 + 10 * seed, 1.5 + seed % 3, 700 + seed);
+      auto index = TwoHopIndex::Build(&g, max_hops);
+      ReachMaintainer maintainer(&g, max_hops);
+      maintainer.Register(&index);
+      Rng rng(seed);
+      for (int round = 0; round < 2; ++round) {
+        TwoHopIndexPeer::HubTable from(index), to(index);
+        const uint32_t n = g.num_nodes();
+        for (graph::NodeId x = 0; x < n; ++x) {
+          from.ScatterFrom(x);
+          to.ScatterTo(x);
+          for (graph::NodeId y = 0; y < n; ++y) {
+            const uint32_t xy = TwoHopIndexPeer::SpanDistance(index, x, y);
+            ASSERT_EQ(from.Distance(y), xy)
+                << "seed " << seed << " H " << max_hops << " " << x << "->"
+                << y;
+            ASSERT_EQ(to.Distance(y),
+                      TwoHopIndexPeer::SpanDistance(index, y, x))
+                << "seed " << seed << " H " << max_hops << " " << y << "->"
+                << x;
+            if (x == y) {
+              ++same;
+            } else {
+              ++(xy == kUnreachableDistance ? unreachable : reachable);
+            }
+          }
+        }
+        // Second round: the same checks over patched labels.
+        for (int applied = 0; applied < 10;) {
+          applied += maintainer
+                         .ApplyDelta({graph::EdgeDelta::Op::kInsert,
+                                      static_cast<graph::NodeId>(
+                                          rng.Uniform(g.num_nodes())),
+                                      static_cast<graph::NodeId>(
+                                          rng.Uniform(g.num_nodes()))})
+                         .applied;
+        }
+      }
+    }
+  }
+  EXPECT_GT(same, 0u);
+  EXPECT_GT(unreachable, 0u);
+  EXPECT_GT(reachable, 0u);
 }
 
 // Query objects share nothing mutable anymore (per-thread BFS scratch),
