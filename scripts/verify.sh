@@ -148,7 +148,7 @@ if [ "${MEL_SKIP_TSAN:-0}" != "1" ]; then
     extensions_test recency_test text_test differential_test \
     metrics_test serve_test mmap_test incremental_test
   (cd build-tsan && ctest --output-on-failure \
-    -R 'ThreadPool|Parallel|CachedReachability|DifferentialConcurrency|ServeFixture|ConcurrencyTest|MmapConcurrency|Incremental|SerialExecutor|TwoHopPendingRebuild|ReachMaintainerThreading' -j)
+    -R 'ThreadPool|Parallel|InfluentialIndexParallelFill|CachedReachability|DifferentialConcurrency|ServeFixture|ConcurrencyTest|MmapConcurrency|Incremental|SerialExecutor|TwoHopPendingRebuild|ReachMaintainerThreading' -j)
   echo "=== TSan stage: reduced differential sweep (mutation shards included) ==="
   (cd build-tsan/tests && MEL_DIFF_CASES="${MEL_DIFF_CASES_TSAN:-40}" \
     ./differential_test --gtest_filter='DifferentialShards.Shard*:MutationSweep.Shard*')

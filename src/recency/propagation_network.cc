@@ -84,26 +84,33 @@ PropagationNetwork PropagationNetwork::Build(const kb::Knowledgebase& kb,
                  excluded.end());
 
   // Candidate pairs by hyperlink co-citation: WLM is positive only for
-  // entities sharing an inlinking article. Each article contributes a
-  // known number of pairs, so shards write into disjoint ranges of one
-  // flat array — the enumeration is independent of the thread count.
-  std::vector<uint64_t> write_offsets(n + 1, 0);
-  for (kb::EntityId a = 0; a < n; ++a) {
-    const uint64_t deg = kb.Outlinks(a).size();
-    write_offsets[a + 1] = write_offsets[a] + deg * (deg - 1) / 2;
-  }
-  std::vector<uint64_t> pairs(write_offsets[n]);
+  // entities sharing an inlinking article. Row a collects every b > a
+  // that some article citing a also cites, sorted and deduplicated; rows
+  // are filled in parallel and concatenated in entity order, so `pairs`
+  // is sorted by (a, b) whatever the thread count.
+  std::vector<std::vector<kb::EntityId>> rows(n);
   pool->ParallelFor(0, n, 32, [&](size_t a) {
-    auto outs = kb.Outlinks(static_cast<kb::EntityId>(a));
-    uint64_t w = write_offsets[a];
-    for (size_t i = 0; i < outs.size(); ++i) {
-      for (size_t j = i + 1; j < outs.size(); ++j) {
-        pairs[w++] = PairKey(outs[i], outs[j]);
-      }
+    std::vector<kb::EntityId>& row = rows[a];
+    for (kb::EntityId article : kb.Inlinks(static_cast<kb::EntityId>(a))) {
+      auto outs = kb.Outlinks(article);
+      row.insert(row.end(), std::upper_bound(outs.begin(), outs.end(), a),
+                 outs.end());
     }
+    std::sort(row.begin(), row.end());
+    row.erase(std::unique(row.begin(), row.end()), row.end());
   });
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  std::vector<uint64_t> row_offsets(n + 1, 0);
+  for (kb::EntityId a = 0; a < n; ++a) {
+    row_offsets[a + 1] = row_offsets[a] + rows[a].size();
+  }
+  std::vector<uint64_t> pairs(row_offsets[n]);
+  pool->ParallelFor(0, n, 32, [&](size_t a) {
+    uint64_t w = row_offsets[a];
+    for (kb::EntityId b : rows[a]) {
+      pairs[w++] = PairKey(static_cast<kb::EntityId>(a), b);
+    }
+    rows[a] = {};
+  });
   nm.candidate_pairs->Increment(pairs.size());
 
   // Heuristic 1 filter + theta2 relatedness filter. The WLM weight is

@@ -37,10 +37,11 @@ class PropagationNetwork {
   /// default: 0.6). The knowledgebase must be finalized.
   ///
   /// Construction fans the co-citation enumeration and the theta2 WLM
-  /// filter out across `pool` (nullptr = the shared pool). Every shard
-  /// writes into a precomputed disjoint range and candidate pairs are
-  /// canonicalized by sorted pair key before the CSR build, so the result
-  /// is byte-identical for any thread count.
+  /// filter out across `pool` (nullptr = the shared pool). Candidate
+  /// pairs are enumerated per entity a (every b > a sharing an inlinking
+  /// article, sorted and deduplicated within the row) and the rows are
+  /// concatenated in entity order, so the pairs come out in (a, b) order
+  /// and the result is byte-identical for any thread count.
   static PropagationNetwork Build(const kb::Knowledgebase& kb, double theta2,
                                   util::ThreadPool* pool = nullptr);
 

@@ -8,6 +8,7 @@
 #include "kb/complemented_kb.h"
 #include "kb/types.h"
 #include "social/influence.h"
+#include "util/thread_pool.h"
 
 namespace mel::social {
 
@@ -34,8 +35,16 @@ namespace mel::social {
 /// confirmed link changed: entity's own list in every surface (its
 /// community total moved) and, for each co-candidate the user has
 /// tweeted about, that list with the user's cached entry reset (the
-/// user's tweet distribution over the surface moved). PrecomputeAll or
-/// the next lookup re-ranks only stale lists.
+/// user's tweet distribution over the surface moved), and queues the
+/// surface. PrecomputeAll or the next lookup re-ranks only stale lists.
+///
+/// Thread safety: PrecomputeAll fills the queued surfaces on a thread
+/// pool. A fill writes only its own surface's entry and reads only the
+/// complemented knowledgebase's Community, LinkedTweetCount and
+/// UserTweetCount (none of which sorts lazily), so the result is
+/// bitwise the same for any thread count. Get on a filled, fresh surface
+/// only reads; every other call must be externally serialized against
+/// all calls on the index and against writes to the knowledgebase.
 class InfluentialUserIndex {
  public:
   /// \param ckb complemented knowledgebase (must outlive the index)
@@ -46,9 +55,11 @@ class InfluentialUserIndex {
                        InfluenceMethod method, uint32_t top_k);
 
   /// Fills every surface form of the knowledgebase that has a stale list
-  /// (the offline pass, and the refill after feedback). Optional:
-  /// lookups fill the cache lazily.
-  void PrecomputeAll();
+  /// (the offline pass, and the refill after feedback), in parallel on
+  /// `pool` (nullptr = the shared pool). It visits only surfaces queued
+  /// since the last call, not every surface. Optional: lookups fill the
+  /// cache lazily. Must not run concurrently with Get.
+  void PrecomputeAll(util::ThreadPool* pool = nullptr);
 
   /// The top influential users of `entity` in the context of the
   /// candidate set of `surface_id`. Computed and cached on first use, and
@@ -74,6 +85,7 @@ class InfluentialUserIndex {
   };
   struct SurfaceCache {
     bool stale = true;  // some list needs (re-)ranking
+    bool queued = false;  // listed in queued_
     // Aligned with the surface's candidate list; empty until first fill.
     std::vector<CandidateList> lists;
   };
@@ -84,6 +96,9 @@ class InfluentialUserIndex {
   InfluenceEstimator estimator_;
   uint32_t top_k_;
   std::vector<SurfaceCache> cache_;
+  // Surfaces marked stale since the last PrecomputeAll, each once (a
+  // lazy Get may have refilled some of them since).
+  std::vector<uint32_t> queued_;
   // entity -> surfaces it participates in (built once at construction).
   std::unordered_map<kb::EntityId, std::vector<uint32_t>> entity_surfaces_;
 };

@@ -13,6 +13,7 @@
 #include "gen/workload.h"
 #include "social/influential_index.h"
 #include "util/metrics.h"
+#include "util/thread_pool.h"
 
 namespace mel {
 namespace {
@@ -248,6 +249,77 @@ TEST_F(ExtensionsFixture, InfluentialIndexDiscEvalsArePinned) {
   }
   EXPECT_EQ(offline, 8204u);
   EXPECT_EQ(evals->Value() - before, 9596u);
+}
+
+// PrecomputeAll fills queued surfaces on a pool; the lists must not
+// depend on how many threads filled them. Compared on the cold fill and
+// after rounds of confirms whose stale surfaces span several fill grains,
+// so refills really run in parallel.
+TEST_F(ExtensionsFixture, InfluentialIndexParallelFill) {
+  util::ThreadPool one(1);
+  util::ThreadPool four(4);
+  kb::ComplementedKnowledgebase serial_ckb = harness_->ckb();
+  kb::ComplementedKnowledgebase parallel_ckb = harness_->ckb();
+  social::InfluentialUserIndex serial(
+      &serial_ckb, social::InfluenceMethod::kEntropy, 5);
+  social::InfluentialUserIndex parallel(
+      &parallel_ckb, social::InfluenceMethod::kEntropy, 5);
+  const kb::Knowledgebase& kbase = harness_->kb();
+  ASSERT_GT(kbase.surfaces().size(), 64u);
+
+  auto expect_same = [&](const char* phase) {
+    size_t mismatches = 0;
+    for (uint32_t sid = 0; sid < kbase.surfaces().size(); ++sid) {
+      for (const kb::Candidate& c : kbase.CandidatesBySurfaceId(sid)) {
+        const auto& a = serial.Get(sid, c.entity);
+        const auto& b = parallel.Get(sid, c.entity);
+        bool same = a.size() == b.size();
+        for (size_t i = 0; same && i < a.size(); ++i) {
+          same = a[i].user == b[i].user &&
+                 std::memcmp(&a[i].influence, &b[i].influence,
+                             sizeof(double)) == 0;
+        }
+        mismatches += !same;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << phase;
+  };
+
+  serial.PrecomputeAll(&one);
+  parallel.PrecomputeAll(&four);
+  expect_same("cold fill");
+
+  metrics::Counter* parallel_regions =
+      metrics::Registry().GetCounter("util.pool.parallel_for_total");
+  Rng rng(41);
+  kb::TweetId tweet = 1u << 30;
+  for (int round = 0; round < 4; ++round) {
+    for (int step = 0; step < 40; ++step) {
+      uint32_t sid =
+          static_cast<uint32_t>(rng.Uniform(kbase.surfaces().size()));
+      auto candidates = kbase.CandidatesBySurfaceId(sid);
+      kb::EntityId entity = candidates[rng.Uniform(candidates.size())].entity;
+      auto community = serial_ckb.Community(entity);
+      kb::UserId user =
+          community.empty() || rng.Bernoulli(0.25)
+              ? static_cast<kb::UserId>(rng.Uniform(
+                    harness_->world().corpus.tweets_by_user.size()))
+              : community[rng.Uniform(community.size())].first;
+      const kb::Posting posting{tweet, user, 1000 + tweet};
+      ++tweet;
+      serial_ckb.AddLink(entity, posting);
+      parallel_ckb.AddLink(entity, posting);
+      serial.OnLinkAdded(entity, user);
+      parallel.OnLinkAdded(entity, user);
+    }
+    serial.PrecomputeAll(&one);
+    const uint64_t regions = parallel_regions->Value();
+    parallel.PrecomputeAll(&four);
+    // More surfaces than one grain were stale, so the refill opened a
+    // parallel region instead of running inline.
+    EXPECT_EQ(parallel_regions->Value() - regions, 1u);
+    expect_same("after confirms");
+  }
 }
 
 // Eq.-11 work is deterministic too: power iterations (runs) while the

@@ -10,6 +10,7 @@
 #include "recency/recency_propagator.h"
 #include "recency/sliding_window.h"
 #include "testing/oracle.h"
+#include "testing/random_workload.h"
 #include "util/metrics.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -519,6 +520,64 @@ TEST_F(RecencyFixture, ParallelNetworkBuildIsByteIdenticalToSerial) {
   EXPECT_TRUE(serial.IdenticalTo(parallel));
   EXPECT_TRUE(parallel.IdenticalTo(serial));
   EXPECT_TRUE(serial.IdenticalTo(shared));
+}
+
+// FNV-1a over everything a query reads: per entity its cluster, member
+// index and neighbour row (target, weight and probability bits), then
+// every cluster's member order.
+uint64_t NetworkDigest(const PropagationNetwork& net) {
+  uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      h = (h ^ bytes[i]) * 1099511628211ull;
+    }
+  };
+  for (kb::EntityId e = 0; e < net.num_entities(); ++e) {
+    const uint32_t head[3] = {net.Cluster(e), net.MemberIndex(e),
+                              static_cast<uint32_t>(net.Neighbors(e).size())};
+    mix(head, sizeof(head));
+    for (const PropagationNetwork::Edge& edge : net.Neighbors(e)) {
+      mix(&edge.target, sizeof(edge.target));
+      mix(&edge.weight, sizeof(edge.weight));
+      mix(&edge.probability, sizeof(edge.probability));
+    }
+  }
+  for (uint32_t c = 0; c < net.num_clusters(); ++c) {
+    auto members = net.ClusterMembers(c);
+    mix(members.data(), members.size_bytes());
+  }
+  return h;
+}
+
+// Golden digests of networks built by the flat enumerate-then-sort
+// construction, so any rewrite of Build must reproduce its bytes. The
+// co-citation pair count is pinned alongside.
+TEST_F(RecencyFixture, NetworkDigestIsPinned) {
+  metrics::Counter* pairs =
+      metrics::Registry().GetCounter("recency.network.pairs_total");
+  struct Case {
+    const kb::Knowledgebase* kb;
+    double theta2;
+    uint64_t pairs;
+    uint64_t digest;
+  };
+  const testing::RandomWorkload small = testing::MakeRandomWorkload(3);
+  testing::RandomWorkloadOptions large_options;
+  large_options.scale = 8;
+  const testing::RandomWorkload large =
+      testing::MakeRandomWorkload(11, large_options);
+  const Case cases[] = {
+      {&kb_, 0.3, 4, 0x914411d8a66d110eull},
+      {&small.world.kb(), small.theta2, 576, 0x2cd1ae345869a818ull},
+      {&large.world.kb(), large.theta2, 5391, 0x8dc71bd299d98e06ull},
+  };
+  for (const Case& c : cases) {
+    const uint64_t before = pairs->Value();
+    const auto net = PropagationNetwork::Build(*c.kb, c.theta2);
+    EXPECT_EQ(pairs->Value() - before, c.pairs);
+    EXPECT_EQ(NetworkDigest(net), c.digest);
+  }
 }
 
 TEST_F(RecencyFixture, ParallelCachedPropagationIsConsistent) {
